@@ -5,25 +5,24 @@
 //! events pop in insertion order — a property the session replays rely on
 //! and the tests pin down.
 //!
-//! # Two implementations, one contract
+//! # One heap, one contract
 //!
-//! The queue is selectable via [`EventQueueKind`]:
+//! Every executor (sequential sharded, the parallel coordinator, the
+//! shared channel and single-client sessions) runs on this one queue: a
+//! `std::collections::BinaryHeap` ordered by a packed `u128` key,
+//! `(at.to_bits() << 64) | seq`, so a single integer compare realises
+//! "earliest time first, lowest sequence number on ties". The order is
+//! a total order over `(time, sequence)`, so a schedule/pop interleaving
+//! determines the popped sequence exactly — the property test below
+//! checks it against a linear-scan model, and the workspace goldens
+//! (including a 64-shard, 4096-client event log) pin it end to end.
 //!
-//! - **`Calendar`** (the default) — a bucketed *calendar queue*: a ring
-//!   of time buckets whose width is re-estimated from the observed
-//!   event-time quantum whenever the ring resizes, plus a sorted
-//!   overflow lane for events beyond the ring's horizon. Simulation
-//!   workloads schedule lookahead-quantised times (retrieval and
-//!   viewing delays come from a small fixed set), which is exactly the
-//!   regime where bucketed scheduling beats a comparison heap: O(1)
-//!   schedule and near-O(1) pop instead of O(log n) sifts.
-//! - **`Heap`** — the reference `std::collections::BinaryHeap`
-//!   implementation.
-//!
-//! Both implementations pop the **identical sequence** — earliest time
-//! first, FIFO on ties — on any schedule/pop interleaving; the
-//! `calendar_matches_heap` property test pins this equivalence, and the
-//! workspace goldens pin it end to end through the simulations.
+//! Do not bring back a bucketed calendar queue on the strength of
+//! synthetic hold-model benchmarks: on the 64-shard, 4096-client
+//! Figure-7 simulation its width estimate collapsed to the integer
+//! viewing-time step, leaving ~40 events per bucket behind mid-deque
+//! inserts in a 16k-bucket ring, and it ran at about 70% of this heap's
+//! requests per second.
 //!
 //! # Scheduling contract (NaN / causality)
 //!
@@ -32,13 +31,12 @@
 //! errors in the caller — a simulation that schedules into the past has
 //! already lost causality, and silently accepting NaN would poison every
 //! downstream comparison — so the contract is a loud panic rather than a
-//! recoverable error, for both queue kinds alike (covered by
-//! `#[should_panic]` tests per kind). The clock itself starts at `0.0`
-//! on a fresh queue and only advances when an event is popped;
-//! scheduling alone never moves it.
+//! recoverable error (covered by `#[should_panic]` tests). The clock
+//! itself starts at `0.0` on a fresh queue and only advances when an
+//! event is popped; scheduling alone never moves it.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An event scheduled at a simulated time.
 #[derive(Debug, Clone)]
@@ -49,13 +47,12 @@ struct Scheduled<E> {
 }
 
 impl<E> Scheduled<E> {
-    /// The total order both implementations agree on, packed into one
-    /// integer: earliest time first, lowest sequence number on ties.
-    /// Event times are guaranteed non-negative and finite (the
-    /// [`EventQueue::schedule`] contract), where `f64::to_bits` is
-    /// monotone — so a single `u128` compare *is* the
-    /// `(total_cmp, seq)` lexicographic order, with no float-compare
-    /// plus tie-break branch pair on the hot paths.
+    /// The queue order packed into one integer: earliest time first,
+    /// lowest sequence number on ties. Event times are guaranteed
+    /// non-negative and finite (the [`EventQueue::schedule`] contract),
+    /// where `f64::to_bits` is monotone — so a single `u128` compare
+    /// *is* the `(total_cmp, seq)` lexicographic order, with no
+    /// float-compare plus tie-break branch pair on the sift paths.
     #[inline]
     fn key(&self) -> u128 {
         ((self.at.to_bits() as u128) << 64) | self.seq as u128
@@ -82,338 +79,11 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
-/// Which event-queue implementation backs an [`EventQueue`].
-///
-/// Both kinds obey the identical determinism contract (earliest time
-/// first, FIFO sequence tie-breaks); the calendar queue is the default
-/// because the simulation workloads are lookahead-quantised, its best
-/// case. The heap remains available as the reference implementation the
-/// equivalence tests drive both sides of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventQueueKind {
-    /// Bucketed calendar queue with a sorted overflow lane (default).
-    #[default]
-    Calendar,
-    /// Reference binary-heap implementation.
-    Heap,
-}
-
-// ---------------------------------------------------------------------
-// The calendar implementation.
-// ---------------------------------------------------------------------
-
-/// Initial ring size (power of two).
-const INITIAL_BUCKETS: usize = 16;
-/// Grow the ring when it holds more than this many events per bucket.
-const RESIZE_LOAD: usize = 2;
-/// At most this many pending times are sampled to estimate the quantum.
-const QUANTUM_SAMPLE: usize = 256;
-/// Hard ceiling on the ring size (beyond it, load just deepens buckets).
-const MAX_BUCKETS: usize = 1 << 16;
-/// Re-estimate the geometry when more than this many pushes per bucket
-/// landed in the overflow lane since the last resize: a small queue can
-/// sit under the load trigger forever while a mis-sized window routes
-/// every event through the heap lane.
-const OVERFLOW_CHURN: usize = 8;
-/// Below this population the whole queue is a single sorted list: at
-/// small sizes one L1-resident array (binary-search insert, O(1)
-/// pop-min off the back) beats both a heap's sifts and the ring's
-/// scattered buckets on constant factor. The queue spills into the ring
-/// the first time it outgrows the list and never collapses back.
-const LIST_MAX: usize = 64;
-
-/// The bucketed calendar: a ring of `buckets.len()` (power-of-two) time
-/// buckets of `width` simulated units each, anchored at `origin`; bucket
-/// day `d` (absolute, counted from the anchor) holds events with
-/// `floor((at - origin) / width) == d`. The ring spans the window
-/// `[cur_day, cur_day + buckets.len())` of days; events beyond it wait
-/// in the sorted `overflow` lane and are compared against the ring on
-/// every pop, so far-future events can never be popped late.
-///
-/// Two invariants carry the performance and the determinism:
-///
-/// - every ring event's day lies in the current window, so each bucket
-///   holds events of exactly one day and a pop scans forward from
-///   `cur_day` to the first non-empty bucket — no year tags needed;
-/// - each bucket is kept sorted by `(at, seq)`, so the bucket front *is*
-///   the day's earliest event. Inserts scan from the back, which is a
-///   straight append for the dominant schedule patterns (monotone times
-///   within a day, and equal-time FIFO bursts — the tie-heavy regime
-///   that degrades an unsorted bucket's min-scan to O(bucket)).
-#[derive(Debug)]
-struct Calendar<E> {
-    width: f64,
-    origin: f64,
-    cur_day: u64,
-    buckets: Vec<VecDeque<Scheduled<E>>>,
-    ring_len: usize,
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Pushes that landed in the overflow lane since the last resize.
-    overflow_churn: usize,
-    /// Small-queue fast path: while `small`, every pending event lives
-    /// here, sorted descending by `(at, seq)` so the minimum pops off
-    /// the back in O(1). Inserts land mid-list on this workload (mean
-    /// shift of a few elements either direction), so a flat `Vec` beats
-    /// a deque's two-slice bookkeeping.
-    list: Vec<Scheduled<E>>,
-    small: bool,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Self {
-            width: 1.0,
-            origin: 0.0,
-            cur_day: 0,
-            buckets: (0..INITIAL_BUCKETS).map(|_| VecDeque::new()).collect(),
-            ring_len: 0,
-            overflow: BinaryHeap::new(),
-            overflow_churn: 0,
-            list: Vec::new(),
-            small: true,
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.list.len() + self.ring_len + self.overflow.len()
-    }
-
-    /// Absolute day of an event time under the current anchor, as f64
-    /// (saturating semantics are handled by the window comparison).
-    #[inline]
-    fn day_of(&self, at: f64) -> f64 {
-        ((at - self.origin) / self.width).floor()
-    }
-
-    /// Inserts into a bucket keeping it sorted by `(at, seq)`. Scans
-    /// from the back: equal-time FIFO bursts and monotone same-day
-    /// schedules both append with zero shifts.
-    fn insert_sorted(bucket: &mut VecDeque<Scheduled<E>>, ev: Scheduled<E>) {
-        let mut pos = bucket.len();
-        while pos > 0 && ev.key() < bucket[pos - 1].key() {
-            pos -= 1;
-        }
-        bucket.insert(pos, ev);
-    }
-
-    fn push(&mut self, ev: Scheduled<E>) {
-        if self.small {
-            // Descending by (at, seq), so the insert position `idx` is
-            // the count of strictly later pending events. Gallop from
-            // the minimum end: on simulation schedules new events land a
-            // handful of slots from the back (they fall near the current
-            // clock, while the list front holds the far-future events),
-            // so the doubling probes stay within one or two cache lines
-            // — and a schedule that lands mid-list or at the front still
-            // costs only O(log len) like a plain binary search.
-            let key = ev.key();
-            let len = self.list.len();
-            let mut lo = 0;
-            let mut hi = len;
-            let mut step = 1;
-            while step <= len {
-                let probe = len - step;
-                if self.list[probe].key() > key {
-                    lo = probe + 1;
-                    break;
-                }
-                hi = probe;
-                step *= 2;
-            }
-            let idx = lo + self.list[lo..hi].partition_point(|e| key < e.key());
-            self.list.insert(idx, ev);
-            if self.list.len() > LIST_MAX {
-                self.small = false;
-                self.resize();
-            }
-            return;
-        }
-        let day = self.day_of(ev.at);
-        // Window check in f64: far-future (or precision-loss-range) days
-        // go to the sorted overflow lane.
-        if day < (self.cur_day + self.buckets.len() as u64) as f64 {
-            let idx = (day as u64) as usize & (self.buckets.len() - 1);
-            Self::insert_sorted(&mut self.buckets[idx], ev);
-            self.ring_len += 1;
-        } else {
-            self.overflow.push(ev);
-            self.overflow_churn += 1;
-        }
-        let n = self.buckets.len();
-        // Two triggers: total load outgrew the ring (count both lanes —
-        // a window that routes everything to overflow keeps `ring_len`
-        // artificially low), or sustained overflow churn shows the
-        // window geometry no longer matches the event-time distribution.
-        if (self.len() > RESIZE_LOAD * n && n < MAX_BUCKETS)
-            || self.overflow_churn > OVERFLOW_CHURN * n
-        {
-            self.resize();
-        }
-    }
-
-    /// The first non-empty ring day (its bucket front is the day's — and
-    /// the ring's — earliest event). `None` when the ring is empty.
-    fn ring_min(&self) -> Option<u64> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        let n = self.buckets.len() as u64;
-        let mut day = self.cur_day;
-        loop {
-            if !self.buckets[(day & (n - 1)) as usize].is_empty() {
-                return Some(day);
-            }
-            day += 1;
-            debug_assert!(
-                day < self.cur_day + n,
-                "ring_len > 0 but no bucket in the window holds an event"
-            );
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.small {
-            return self.list.pop();
-        }
-        match self.ring_min() {
-            None => {
-                let ev = self.overflow.pop()?;
-                // The ring is empty: re-anchor the window at the popped
-                // time so day arithmetic stays small and future
-                // schedules land back in the ring.
-                self.origin = ev.at;
-                self.cur_day = 0;
-                Some(ev)
-            }
-            Some(day) => {
-                let n = self.buckets.len() as u64;
-                let bucket_idx = (day & (n - 1)) as usize;
-                // The overflow lane can hold events earlier than the
-                // ring minimum (scheduled when the window sat further
-                // back), so every pop compares the two lanes.
-                if let Some(head) = self.overflow.peek() {
-                    let front = self.buckets[bucket_idx].front().expect("non-empty day");
-                    if head.key() < front.key() {
-                        let ev = self.overflow.pop().expect("peeked");
-                        let head_day = self.day_of(ev.at);
-                        if head_day >= 0.0 && head_day < (self.cur_day + n) as f64 {
-                            self.cur_day = head_day as u64;
-                        }
-                        return Some(ev);
-                    }
-                }
-                self.cur_day = day;
-                let ev = self.buckets[bucket_idx].pop_front().expect("non-empty day");
-                self.ring_len -= 1;
-                Some(ev)
-            }
-        }
-    }
-
-    fn peek_key(&self) -> Option<u128> {
-        if self.small {
-            return self.list.last().map(Scheduled::key);
-        }
-        let ring = self.ring_min().map(|day| {
-            self.buckets[(day & (self.buckets.len() as u64 - 1)) as usize]
-                .front()
-                .expect("non-empty day")
-                .key()
-        });
-        let over = self.overflow.peek().map(Scheduled::key);
-        match (ring, over) {
-            (Some(r), Some(o)) => Some(r.min(o)),
-            (r, o) => r.or(o),
-        }
-    }
-
-    /// Grows the ring and re-estimates the bucket width from the
-    /// observed event-time quantum: the median positive gap between
-    /// sorted pending event times. One bucket per quantum step keeps
-    /// bucket occupancy near one event, which is what makes pops O(1).
-    /// Re-anchors at the earliest pending time and redistributes every
-    /// pending event (overflow included, so far-future events migrate
-    /// into a ring that now reaches them).
-    fn resize(&mut self) {
-        let mut pending: Vec<Scheduled<E>> = Vec::with_capacity(self.len());
-        pending.append(&mut self.list);
-        for bucket in &mut self.buckets {
-            pending.extend(bucket.drain(..));
-        }
-        pending.extend(std::mem::take(&mut self.overflow).into_vec());
-        self.ring_len = 0;
-        self.overflow_churn = 0;
-
-        // Sort once: the order makes every redistribution insert a
-        // straight append (no shifting on tie piles), and gives the
-        // span estimate below for free.
-        pending.sort_unstable_by(|a, b| a.at.total_cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
-
-        // Width = observed quantum: the median *positive* gap over a
-        // bounded prefix of the sorted pending times. Zero gaps (ties)
-        // are excluded — tie piles sit fine inside one sorted bucket —
-        // so quantised streams recover their true step (e.g. 1.0 for
-        // integer event times) instead of a tie-diluted average that
-        // would split each step across several buckets and shrink the
-        // window until schedules drain through the overflow lane.
-        let sample = &pending[..pending.len().min(QUANTUM_SAMPLE)];
-        let mut gaps: Vec<f64> = sample
-            .windows(2)
-            .map(|w| w[1].at - w[0].at)
-            .filter(|&g| g > 0.0 && g.is_finite())
-            .collect();
-        // Degenerate schedules — a single pending event, or every
-        // pending event at the same time — yield zero positive gaps;
-        // the width then stays at its previous (positive) value, so the
-        // day arithmetic below can never divide by zero.
-        if !gaps.is_empty() {
-            gaps.sort_unstable_by(f64::total_cmp);
-            self.width = gaps[gaps.len() / 2];
-        }
-        debug_assert!(
-            self.width > 0.0 && self.width.is_finite(),
-            "bucket width must stay positive and finite"
-        );
-
-        let target = (RESIZE_LOAD * pending.len().max(INITIAL_BUCKETS))
-            .next_power_of_two()
-            .clamp(INITIAL_BUCKETS, MAX_BUCKETS);
-        self.buckets = (0..target).map(|_| VecDeque::new()).collect();
-        // Anchor at the earliest pending time so the window starts full.
-        self.origin = pending.first().map(|ev| ev.at).unwrap_or(self.origin);
-        self.cur_day = 0;
-        for ev in pending {
-            let day = self.day_of(ev.at);
-            if day < target as f64 {
-                let idx = (day as u64) as usize & (target - 1);
-                self.buckets[idx].push_back(ev);
-                self.ring_len += 1;
-            } else {
-                self.overflow.push(ev);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The queue facade.
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Impl<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Calendar(Calendar<E>),
-}
-
-/// Deterministic discrete-event queue with a simulation clock.
-///
-/// Backed by either a calendar queue (default) or a binary heap — see
-/// [`EventQueueKind`] and the [module docs](self) for the shared
-/// determinism contract.
+/// Deterministic discrete-event queue with a simulation clock — see the
+/// [module docs](self) for the determinism contract.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    imp: Impl<E>,
+    heap: BinaryHeap<Scheduled<E>>,
     now: f64,
     seq: u64,
 }
@@ -425,30 +95,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero, on the default
-    /// (calendar) implementation.
+    /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_kind(EventQueueKind::default())
-    }
-
-    /// An empty queue with the clock at zero, on the given
-    /// implementation.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
         Self {
-            imp: match kind {
-                EventQueueKind::Heap => Impl::Heap(BinaryHeap::new()),
-                EventQueueKind::Calendar => Impl::Calendar(Calendar::new()),
-            },
+            heap: BinaryHeap::new(),
             now: 0.0,
             seq: 0,
-        }
-    }
-
-    /// Which implementation backs this queue.
-    pub fn kind(&self) -> EventQueueKind {
-        match self.imp {
-            Impl::Heap(_) => EventQueueKind::Heap,
-            Impl::Calendar(_) => EventQueueKind::Calendar,
         }
     }
 
@@ -463,16 +115,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.imp {
-            Impl::Heap(heap) => heap.len(),
-            Impl::Calendar(cal) => cal.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -480,7 +129,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `at` is not finite (NaN or ±∞) or earlier than the
     /// current clock — the causality contract documented in the
-    /// [module docs](self), identical for both queue kinds.
+    /// [module docs](self).
     pub fn schedule(&mut self, at: f64, payload: E) {
         assert!(at.is_finite(), "event time must be finite");
         assert!(
@@ -488,16 +137,12 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        let ev = Scheduled {
+        self.heap.push(Scheduled {
             at,
             seq: self.seq,
             payload,
-        };
+        });
         self.seq += 1;
-        match &mut self.imp {
-            Impl::Heap(heap) => heap.push(ev),
-            Impl::Calendar(cal) => cal.push(ev),
-        }
     }
 
     /// Schedules `payload` `delay` time units from now.
@@ -507,107 +152,82 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        let s = match &mut self.imp {
-            Impl::Heap(heap) => heap.pop()?,
-            Impl::Calendar(cal) => cal.pop()?,
-        };
+        let s = self.heap.pop()?;
         self.now = s.at;
         Some((s.at, s.payload))
     }
 
     /// Peeks at the earliest pending event time.
     pub fn peek_time(&self) -> Option<f64> {
-        match &self.imp {
-            Impl::Heap(heap) => heap.peek().map(|s| s.at),
-            Impl::Calendar(cal) => cal.peek_key().map(|key| f64::from_bits((key >> 64) as u64)),
-        }
+        self.heap.peek().map(|s| s.at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every behavioural test runs on both implementations.
-    fn both(test: impl Fn(EventQueue<&'static str>)) {
-        test(EventQueue::with_kind(EventQueueKind::Heap));
-        test(EventQueue::with_kind(EventQueueKind::Calendar));
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.schedule(3.0, "c");
-            q.schedule(1.0, "a");
-            q.schedule(2.0, "b");
-            assert_eq!(q.pop(), Some((1.0, "a")));
-            assert_eq!(q.pop(), Some((2.0, "b")));
-            assert_eq!(q.pop(), Some((3.0, "c")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(3.0, "c");
+        q.schedule(1.0, "a");
+        q.schedule(2.0, "b");
+        assert_eq!(q.pop(), Some((1.0, "a")));
+        assert_eq!(q.pop(), Some((2.0, "b")));
+        assert_eq!(q.pop(), Some((3.0, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        both(|mut q| {
-            q.schedule(5.0, "x");
-            assert_eq!(q.now(), 0.0);
-            q.pop();
-            assert_eq!(q.now(), 5.0);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(5.0, "x");
+        assert_eq!(q.now(), 0.0);
+        q.pop();
+        assert_eq!(q.now(), 5.0);
     }
 
     /// The documented initial state: a fresh queue's clock reads zero,
     /// and scheduling alone never advances it — only popping does.
     #[test]
     fn clock_starts_at_zero_and_schedule_does_not_advance_it() {
-        both(|mut q| {
-            assert_eq!(q.now(), 0.0, "fresh queue clock");
-            q.schedule(7.5, "later");
-            q.schedule(2.5, "sooner");
-            assert_eq!(q.now(), 0.0, "schedule must not move the clock");
-            assert_eq!(q.peek_time(), Some(2.5));
-            assert_eq!(q.now(), 0.0, "peek must not move the clock");
-            q.pop();
-            assert_eq!(q.now(), 2.5);
-        });
+        let mut q = EventQueue::new();
+        assert_eq!(q.now(), 0.0, "fresh queue clock");
+        q.schedule(7.5, "later");
+        q.schedule(2.5, "sooner");
+        assert_eq!(q.now(), 0.0, "schedule must not move the clock");
+        assert_eq!(q.peek_time(), Some(2.5));
+        assert_eq!(q.now(), 0.0, "peek must not move the clock");
+        q.pop();
+        assert_eq!(q.now(), 2.5);
     }
 
     #[test]
     fn ties_break_fifo() {
-        both(|mut q| {
-            q.schedule(1.0, "first");
-            q.schedule(1.0, "second");
-            q.schedule(1.0, "third");
-            assert_eq!(q.pop().unwrap().1, "first");
-            assert_eq!(q.pop().unwrap().1, "second");
-            assert_eq!(q.pop().unwrap().1, "third");
-        });
+        let mut q = EventQueue::new();
+        q.schedule(1.0, "first");
+        q.schedule(1.0, "second");
+        q.schedule(1.0, "third");
+        assert_eq!(q.pop().unwrap().1, "first");
+        assert_eq!(q.pop().unwrap().1, "second");
+        assert_eq!(q.pop().unwrap().1, "third");
     }
 
     #[test]
     fn schedule_in_is_relative() {
-        both(|mut q| {
-            q.schedule(2.0, "a");
-            q.pop();
-            q.schedule_in(3.0, "b");
-            assert_eq!(q.pop(), Some((5.0, "b")));
-        });
+        let mut q = EventQueue::new();
+        q.schedule(2.0, "a");
+        q.pop();
+        q.schedule_in(3.0, "b");
+        assert_eq!(q.pop(), Some((5.0, "b")));
     }
 
     #[test]
     #[should_panic(expected = "into the past")]
     fn rejects_past_events() {
         let mut q = EventQueue::new();
-        q.schedule(2.0, ());
-        q.pop();
-        q.schedule(1.0, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn heap_rejects_past_events() {
-        let mut q = EventQueue::with_kind(EventQueueKind::Heap);
         q.schedule(2.0, ());
         q.pop();
         q.schedule(1.0, ());
@@ -622,49 +242,39 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "finite")]
-    fn heap_rejects_nan_time() {
-        let mut q: EventQueue<()> = EventQueue::with_kind(EventQueueKind::Heap);
-        q.schedule(f64::NAN, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
     fn rejects_infinite_time() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.schedule(f64::INFINITY, ());
     }
 
     #[test]
-    fn len_and_peek() {
-        both(|mut q| {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(4.0, "a");
-            q.schedule(2.0, "b");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(2.0));
-        });
+    #[should_panic(expected = "finite")]
+    fn rejects_negative_infinite_time() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.schedule(f64::NEG_INFINITY, ());
     }
 
     #[test]
-    fn default_kind_is_calendar() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.kind(), EventQueueKind::Calendar);
-        let h: EventQueue<()> = EventQueue::with_kind(EventQueueKind::Heap);
-        assert_eq!(h.kind(), EventQueueKind::Heap);
+    fn len_and_peek() {
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(4.0, "a");
+        q.schedule(2.0, "b");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(2.0));
     }
 
-    /// Far-future events land in the overflow lane and still pop in
-    /// exact order against ring events scheduled later.
+    /// Far-future events pop in exact order against nearer events
+    /// scheduled after them, and after the clock jumps to the far
+    /// future, events scheduled relative to it still sort correctly.
     #[test]
     fn overflow_lane_interleaves_correctly() {
-        let mut q = EventQueue::with_kind(EventQueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.schedule(1e9, "far");
         q.schedule(1.0, "near");
         q.schedule(1e9, "far2");
         assert_eq!(q.pop(), Some((1.0, "near")));
-        // After the jump the queue re-anchors; a nearer event scheduled
-        // relative to the new clock still sorts correctly.
         assert_eq!(q.pop(), Some((1e9, "far")));
         q.schedule(1e9 + 0.5, "mid");
         assert_eq!(q.pop(), Some((1e9, "far2")));
@@ -672,11 +282,11 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Resize path: push far more events than the initial ring holds,
-    /// with quantised times, and verify exhaustive order.
+    /// Growing the heap well past its initial capacity, with quantised
+    /// and tied times, keeps the exhaustive pop order.
     #[test]
     fn resize_preserves_order() {
-        let mut q = EventQueue::with_kind(EventQueueKind::Calendar);
+        let mut q = EventQueue::new();
         let mut expect: Vec<(f64, usize)> = Vec::new();
         for i in 0..500usize {
             let at = ((i * 7919) % 101) as f64 * 0.25;
@@ -691,101 +301,94 @@ mod tests {
         assert_eq!(got, expect);
     }
 
-    fn calendar_width(q: &EventQueue<usize>) -> f64 {
-        match &q.imp {
-            Impl::Calendar(c) => c.width,
-            Impl::Heap(_) => unreachable!("test constructs a calendar queue"),
+    /// The trivially correct model of the queue: a flat list of
+    /// `(at, seq)` pairs, popped by scanning for the minimum.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(f64, u64)>,
+        now: f64,
+        seq: u64,
+    }
+
+    impl Model {
+        fn schedule(&mut self, at: f64) -> u64 {
+            let seq = self.seq;
+            self.pending.push((at, seq));
+            self.seq += 1;
+            seq
+        }
+
+        fn min_index(&self) -> Option<usize> {
+            (0..self.pending.len()).min_by(|&i, &j| {
+                let (a, b) = (self.pending[i], self.pending[j]);
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+            })
+        }
+
+        fn pop(&mut self) -> Option<(f64, u64)> {
+            let ev = self.pending.swap_remove(self.min_index()?);
+            self.now = ev.0;
+            Some(ev)
+        }
+
+        fn peek_time(&self) -> Option<f64> {
+            self.min_index().map(|i| self.pending[i].0)
         }
     }
 
-    /// Degenerate-schedule regression: every pending event at the same
-    /// time leaves zero positive gaps at resize time — the width
-    /// re-estimate must keep its previous positive value, never panic
-    /// on an empty gap sample or set `width = 0.0`.
-    #[test]
-    fn resize_with_all_equal_pending_times_keeps_width_positive() {
-        let mut q: EventQueue<usize> = EventQueue::with_kind(EventQueueKind::Calendar);
-        // One giant tie pile: overflowing the flat list forces a resize
-        // while every gap between sorted pending times is zero.
-        for i in 0..(LIST_MAX + 8) {
-            q.schedule(42.0, i);
-        }
-        let w = calendar_width(&q);
-        assert!(w > 0.0 && w.is_finite(), "width {w}");
-        // The pile drains in FIFO order and the queue keeps working.
-        for i in 0..(LIST_MAX + 8) {
-            assert_eq!(q.pop(), Some((42.0, i)));
-        }
-        assert_eq!(q.pop(), None);
-        q.schedule(43.0, 0);
-        assert_eq!(q.pop(), Some((43.0, 0)));
+    /// Schedules `at` on both the queue and the model, payload = the
+    /// model's sequence number.
+    fn schedule_both(q: &mut EventQueue<u64>, model: &mut Model, at: f64) {
+        let seq = model.schedule(at);
+        q.schedule(at, seq);
     }
 
-    /// Degenerate-schedule regression: a resize over a single pending
-    /// event (no gap sample at all) keeps the previous width and
-    /// redistributes the event intact.
-    #[test]
-    fn resize_with_a_single_pending_event_is_benign() {
-        let mut c: Calendar<usize> = Calendar::new();
-        c.push(Scheduled {
-            at: 5.0,
-            seq: 0,
-            payload: 7,
-        });
-        c.small = false;
-        c.resize();
-        assert!(c.width > 0.0 && c.width.is_finite(), "width {}", c.width);
-        assert_eq!(c.pop().map(|ev| (ev.at, ev.payload)), Some((5.0, 7)));
-        assert!(c.pop().is_none());
-        // An empty resize (zero pending events) is equally benign.
-        c.resize();
-        assert!(c.width > 0.0 && c.width.is_finite());
-        assert_eq!(c.len(), 0);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The equivalence pin at the queue level: random interleavings of
-    /// schedules and pops produce the identical pop sequence on both
-    /// implementations — including ties, zero gaps, irregular gaps and
-    /// far-future jumps.
-    #[test]
-    fn calendar_matches_heap_on_random_interleavings() {
-        // Deterministic xorshift so the test needs no external RNG.
-        let mut s: u64 = 0x9E3779B97F4A7C15;
-        let mut rand = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for _case in 0..50 {
-            let mut heap = EventQueue::with_kind(EventQueueKind::Heap);
-            let mut cal = EventQueue::with_kind(EventQueueKind::Calendar);
-            for _op in 0..400 {
-                let r = rand();
-                if r % 3 == 0 {
-                    assert_eq!(heap.pop(), cal.pop());
-                    assert_eq!(heap.now(), cal.now());
-                } else {
-                    // Mix of quantised, tied, irregular and far times.
-                    let base = heap.now();
-                    let delay = match r % 7 {
-                        0 => 0.0,
-                        1 => 1.0,
-                        2 => 0.5,
-                        3 => (r % 13) as f64,
-                        4 => (r % 1000) as f64 * 1e-3,
-                        5 => 1e7 + (r % 5) as f64,
-                        _ => (r % 3) as f64 * 2.5,
-                    };
-                    heap.schedule(base + delay, r);
-                    cal.schedule(base + delay, r);
+        /// Random schedule/pop interleavings pop exactly what the model
+        /// pops, clock and length included — over equal-time bursts,
+        /// zero delays, fractional and integer delays, 1e6 far-future
+        /// jumps, and (in half the cases) more than 4,096 pending
+        /// events from a quantised prefill.
+        #[test]
+        fn matches_linear_scan_model(
+            prefill in prop_oneof![0usize..64, 4097usize..6000],
+            ops in proptest::collection::vec((0u8..9, 0u32..1000), 0..600),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = Model::default();
+            for i in 0..prefill {
+                schedule_both(&mut q, &mut model, (i * 7919 % 101) as f64 * 0.5);
+            }
+            for (kind, p) in ops {
+                let now = model.now;
+                match kind {
+                    0..=2 => prop_assert_eq!(q.pop(), model.pop()),
+                    3 => schedule_both(&mut q, &mut model, now),
+                    4 => {
+                        let at = now + (p % 5) as f64;
+                        for _ in 0..=p % 8 {
+                            schedule_both(&mut q, &mut model, at);
+                        }
+                    }
+                    5 => schedule_both(&mut q, &mut model, now + (p % 100) as f64),
+                    6 => schedule_both(&mut q, &mut model, now + p as f64 * 1e-3),
+                    7 => schedule_both(&mut q, &mut model, now + 1e6 + (p % 3) as f64),
+                    _ => schedule_both(&mut q, &mut model, now + (p % 3) as f64 * 2.5),
                 }
-                assert_eq!(heap.len(), cal.len());
+                prop_assert_eq!(q.now(), model.now);
+                prop_assert_eq!(q.len(), model.pending.len());
+                prop_assert_eq!(q.peek_time(), model.peek_time());
             }
-            while let Some(ev) = heap.pop() {
-                assert_eq!(Some(ev), cal.pop());
+            // Drain: the model's remaining events in (at, seq) order.
+            model
+                .pending
+                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for &ev in &model.pending {
+                prop_assert_eq!(q.pop(), Some(ev));
             }
-            assert_eq!(cal.pop(), None);
+            prop_assert_eq!(q.pop(), None);
         }
     }
 }

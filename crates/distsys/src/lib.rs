@@ -57,21 +57,14 @@
 //!
 //! ## Event engine
 //!
-//! The [`EventQueue`] behind every simulation is selectable via
-//! [`engine::EventQueueKind`] and defaults to a **calendar queue**: a
-//! ring of power-of-two time buckets (width re-estimated from the
-//! observed event-time quantum on every resize), a sorted overflow lane
-//! for events beyond the ring's horizon, and a flat sorted-array fast
-//! path below ~64 pending events — the population simulations actually
-//! hold. Simulation schedules are lookahead-quantised (retrieval and
-//! viewing delays come from small fixed sets), the regime where
-//! bucketed scheduling beats the reference binary heap's `O(log n)`
-//! sifts. Both queue kinds pop the **identical sequence** (earliest
-//! time first, FIFO sequence numbers on ties), so switching kinds never
-//! changes a report bit: the `calendar_matches_heap` property test and
-//! the workspace goldens pin that equivalence, and
-//! `cargo bench -p skp-bench --bench queue` measures both kinds while
-//! asserting it.
+//! The [`EventQueue`] behind every simulation is a binary heap ordered
+//! by a packed `(time, sequence)` key: earliest time first, FIFO on
+//! equal-time ties, and a panic on NaN, infinite or past times. The
+//! order is total, so every executor pops the identical sequence for
+//! the same inputs, and the reports and event logs are bit-identical
+//! run to run — a property test against a linear-scan model and the
+//! workspace goldens pin it. [`engine`] records why the heap replaced
+//! the calendar queue that used to be the default.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

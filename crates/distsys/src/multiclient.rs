@@ -20,8 +20,7 @@
 //! Since the sharded-core refactor, [`MultiClientSim`] has no event loop
 //! of its own: it runs a [`ShardedSim`] with one shard, so the legacy
 //! backend and the sharded backend are the same machine — including the
-//! machine's calendar event queue (see
-//! [`engine`](crate::engine) for the queue kinds and their shared
+//! machine's event queue (see [`engine`](crate::engine) for its
 //! determinism contract). The workspace tests assert they agree event
 //! for event.
 

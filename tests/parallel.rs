@@ -100,13 +100,12 @@ proptest! {
     /// covers the event log as well as the aggregate report.
     ///
     /// `time_shape` additionally rewrites the chain's viewing times away
-    /// from the integer-quantised default, stressing the calendar
-    /// queue's width estimator: a **zero-quantum** shape (one constant
+    /// from the integer-quantised default, stressing the event queue's
+    /// tie-breaking and ordering: a **zero-quantum** shape (one constant
     /// viewing time, so pending events pile onto identical timestamps
     /// and every positive gap vanishes), a **magnitude-spread** shape
-    /// (viewing times spanning `1e-3..1e3`, so no single bucket width
-    /// fits), and a **sub-quantum jitter** shape (ties broken by
-    /// `1e-12`-scale offsets that quantise into the same bucket).
+    /// (viewing times spanning `1e-3..1e3`), and a **sub-quantum
+    /// jitter** shape (near-ties broken only by `1e-12`-scale offsets).
     ///
     /// `generator_pick` swaps the hand-built chain for each registered
     /// workload generator (flash crowd, diurnal, churn, fault
