@@ -7,8 +7,8 @@
 //!
 //! # One heap, one contract
 //!
-//! Every executor (sequential sharded, the parallel coordinator, the
-//! shared channel and single-client sessions) runs on this one queue: a
+//! Every simulation (the sharded farm, the shared channel and
+//! single-client sessions) runs on this one queue: a
 //! `std::collections::BinaryHeap` ordered by a packed `u128` key,
 //! `(at.to_bits() << 64) | seq`, so a single integer compare realises
 //! "earliest time first, lowest sequence number on ties". The order is

@@ -1,16 +1,15 @@
-//! Shared deterministic-parallel execution helpers.
+//! Deterministic-parallel execution helpers.
 //!
-//! One source of truth for thread-pool sizing and fan-out across the
-//! workspace: the Monte-Carlo runner (`montecarlo::parallel`) and the
-//! [parallel sharded executor](crate::parallel) both build on this
-//! module, following the hpc-parallel playbook — fan work out over
-//! scoped crossbeam threads, stream results back over channels, and
-//! reassemble them **in input order** so parallel runs are bit-identical
-//! to sequential ones. Randomised workloads get independence through
-//! per-stream seeds derived from a root seed (SplitMix64), never through
-//! shared RNG state.
+//! One source of truth for thread-pool sizing and fan-out across
+//! independent pieces of work (the Monte-Carlo runner,
+//! `montecarlo::parallel`, builds on this module): fan work out over
+//! `std::thread::scope` workers, stream results back over an `mpsc`
+//! channel, and reassemble them **in input order** so parallel runs are
+//! bit-identical to sequential ones. Randomised workloads get
+//! independence through per-stream seeds derived from a root seed
+//! (SplitMix64), never through shared RNG state.
 
-use crossbeam::channel;
+use std::sync::mpsc;
 
 /// Number of worker threads to use: the available parallelism, capped by
 /// the amount of work.
@@ -42,12 +41,13 @@ where
     }
 
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let (tx, rx) = channel::unbounded::<(usize, R)>();
+    // A worker panic resurfaces here when the scope joins it.
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
         for t in 0..threads {
             let tx = tx.clone();
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // Strided static partition: cheap and deterministic.
                 let mut i = t;
                 while i < n {
@@ -60,8 +60,7 @@ where
         for (i, r) in rx {
             results[i] = Some(r);
         }
-    })
-    .expect("no worker panicked");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every index produced"))
@@ -105,6 +104,16 @@ mod tests {
         let items: Vec<u64> = Vec::new();
         let out: Vec<u64> = par_map_indexed(&items, 4, |_, &x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn par_map_propagates_a_worker_panic() {
+        let items: Vec<u64> = (0..16).collect();
+        par_map_indexed(&items, 4, |_, &x| {
+            assert!(x != 7, "boom");
+            x
+        });
     }
 
     #[test]

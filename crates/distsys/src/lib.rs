@@ -17,17 +17,13 @@
 //!   (hash / range / hot–cold [`Placement`]), and the sharded
 //!   multi-client simulation [`ShardedSim`] with per-shard queues,
 //!   service channels and [`ShardReport`] statistics;
-//! - [`parallel`] — the conservative parallel executor
-//!   [`ParallelShardedSim`]: per-shard worker threads synchronised by
-//!   lookahead-derived epoch barriers, bit-identical to the sequential
-//!   scheduler on the same seed;
-//! - [`exec`] — shared deterministic-parallel plumbing (thread-pool
-//!   sizing, ordered parallel map, seed derivation) used by the
-//!   parallel executor and the Monte-Carlo runner alike;
+//! - [`exec`] — deterministic-parallel plumbing across independent runs
+//!   (thread-pool sizing, ordered parallel map, seed derivation), used
+//!   by the Monte-Carlo runner;
 //! - [`faults`] — fault-injection specs ([`FaultSpec`]: outage windows,
 //!   slow links, seed-derived heterogeneous service times) materialised
-//!   per run and applied inside the shared `SimState` handlers, so both
-//!   executors stay bit-identical with faults active;
+//!   per run and applied inside the sharded simulation's event
+//!   handlers, so a faulted run stays a pure function of its seed;
 //! - [`network`] — links (latency + bandwidth) and item catalogs mapping
 //!   items to retrieval times, including the paper's `r ∈ [1, 30]`
 //!   uniform catalog;
@@ -60,7 +56,7 @@
 //! The [`EventQueue`] behind every simulation is a binary heap ordered
 //! by a packed `(time, sequence)` key: earliest time first, FIFO on
 //! equal-time ties, and a panic on NaN, infinite or past times. The
-//! order is total, so every executor pops the identical sequence for
+//! order is total, so every simulation pops the identical sequence for
 //! the same inputs, and the reports and event logs are bit-identical
 //! run to run — a property test against a linear-scan model and the
 //! workspace goldens pin it. [`engine`] records why the heap replaced
@@ -74,7 +70,6 @@ pub mod exec;
 pub mod faults;
 pub mod multiclient;
 pub mod network;
-pub mod parallel;
 pub mod scheduler;
 pub mod session;
 pub mod shared;
@@ -84,7 +79,6 @@ pub mod trace;
 pub use engine::EventQueue;
 pub use faults::{FaultPlan, FaultSpec, Outage};
 pub use network::{Catalog, Link, RetrievalModel};
-pub use parallel::ParallelShardedSim;
 pub use scheduler::{
     access_time_sharded, EventKind, Flow, Placement, Scheduler, ShardMap, ShardReport, ShardStats,
     ShardedSim, SimEvent,

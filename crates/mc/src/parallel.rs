@@ -1,10 +1,9 @@
 //! Deterministic parallel execution of independent Monte-Carlo work.
 //!
-//! The thread-pool sizing and ordered fan-out primitives that used to
-//! live here are now the shared [`distsys::exec`] executor module (the
-//! parallel sharded backend uses the same plumbing); this module
-//! re-exports them — one source of truth for hardware-parallelism
-//! capping — and keeps the Monte-Carlo-specific chunk splitter on top.
+//! The thread-pool sizing and ordered fan-out primitives live in
+//! [`distsys::exec`]; this module re-exports them — one source of truth
+//! for hardware-parallelism capping — and keeps the Monte-Carlo-specific
+//! chunk splitter on top.
 
 pub use distsys::exec::{default_threads, derive_seed, par_map_indexed};
 

@@ -35,7 +35,7 @@
 //! `served:<host>:<port>:<inner-spec>` backend serialises a population
 //! run through `speculative_prefetch::wire`, posts it to a daemon and
 //! parses the report back — bit-identical to running the inner backend
-//! in process on the same seed, extending the parallel-backend
+//! in process on the same seed, extending the sharded backend's
 //! determinism contract across a socket.
 //!
 //! ```no_run

@@ -22,10 +22,9 @@
 //! `svc=<spread>`, `;`-separated). Every generator produces an exact
 //! [`MarkovChain`] (the chain is a pure function of the spec and the
 //! catalog size — the run seed only drives the sampling), so generated
-//! workloads join the determinism contract: `parallel:` and `sharded:`
-//! backends stay bit-identical on the same seed with generators and
-//! faults active (pinned by `tests/generators.rs` and the extended
-//! equivalence proptest).
+//! workloads join the determinism contract: a `sharded:` run is
+//! bit-identical to its same-seed replay with generators and faults
+//! active (pinned by `tests/generators.rs`).
 
 use std::f64::consts::TAU;
 use std::sync::{Arc, LazyLock, RwLock};

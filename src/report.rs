@@ -117,7 +117,7 @@ pub struct RunReport {
     pub plan_store: PlanStoreStats,
     /// Wall-clock phase decomposition of the run (build / plan-solve /
     /// simulate / stat-fold spans, plus per-epoch scheduler marks from
-    /// the sharded executors). Empty unless the engine's observability
+    /// the sharded simulation). Empty unless the engine's observability
     /// sink is on ([`SessionBuilder::obs`](crate::SessionBuilder::obs)).
     /// Excluded from `PartialEq` and the wire form exactly like
     /// [`plan_store`](RunReport::plan_store): timings are

@@ -88,7 +88,7 @@ proptest! {
 
     /// Observability never changes results: with the sink off, on, or
     /// sampling, the same seed yields bit-identical reports and event
-    /// logs — on the sequential farm and on the parallel executor.
+    /// logs.
     #[test]
     fn observability_never_changes_results(
         shards in 1usize..=3,
@@ -130,9 +130,6 @@ proptest! {
                 prop_assert_eq!(a.kind, b.kind);
             }
         }
-        // The observed run on the parallel executor still matches.
-        let par = run(&format!("parallel:{shards}x{clients}:hash:2"), "memory");
-        prop_assert_eq!(&base, &par);
     }
 }
 
