@@ -1329,7 +1329,7 @@ mod tests {
         let retrievals = vec![3.0; 8];
         let mut p1 = |_c: usize, s: usize| vec![(s + 1) % 8];
         let (plain, plain_log) = sim(&rr, &retrievals, 3, 2).run_traced(&mut p1);
-        let o = obs::build_obs("memory").expect("builtin");
+        let o = obs::Obs::from_sink(std::sync::Arc::new(obs::MemorySink::new()));
         let mut marks = Vec::new();
         let mut p2 = |_c: usize, s: usize| vec![(s + 1) % 8];
         let (observed, observed_log) =

@@ -18,11 +18,9 @@
 //!   every Nth histogram observation, for hot paths where even the
 //!   timed section's clock reads would show up.
 //!
-//! Sinks are chosen by spec string through a registry that mirrors the
-//! workspace's other five seams (policies, predictors, backends, plan
-//! stores — see the facade crate docs): [`build_obs`],
-//! [`register_obs_sink`], [`obs_sink_specs`], listed by
-//! `skp-plan --list`.
+//! This crate holds the sink types; sinks are chosen by spec string
+//! through the obs table of the facade's registry
+//! (`speculative_prefetch::build_obs`, listed by `skp-plan --list`).
 //!
 //! Observability never changes results: reports and event logs are
 //! bit-identical whatever sink is installed, and the facade excludes
@@ -45,13 +43,9 @@ use std::sync::{Arc, Mutex};
 
 mod phase;
 pub mod prom;
-mod registry;
 pub mod trace;
 
 pub use phase::{EpochMark, FaultWindow, PhaseBreakdown, PhaseSpan, PhaseTimer};
-pub use registry::{
-    build_obs, obs_sink_names, obs_sink_specs, register_obs_sink, ObsBuilder, ObsSpec,
-};
 
 /// Upper bucket edges (seconds) of every [`TimeHistogram`]; a final
 /// `+Inf` bucket is implicit. Fixed across the workspace so histograms
@@ -59,23 +53,6 @@ pub use registry::{
 pub const TIME_BUCKETS: [f64; 12] = [
     1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0,
 ];
-
-/// Error from building or registering an observability sink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsError {
-    /// Which spec family was malformed (e.g. `"sampled obs spec"`).
-    pub what: &'static str,
-    /// Human-readable diagnosis of the malformation.
-    pub detail: String,
-}
-
-impl fmt::Display for ObsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid {}: {}", self.what, self.detail)
-    }
-}
-
-impl std::error::Error for ObsError {}
 
 /// The storage cell behind an attached [`Counter`].
 #[derive(Debug, Default)]
@@ -318,8 +295,8 @@ pub trait ObsSink: Send + Sync {
     /// Registry name (the spec string up to the first `:`).
     fn name(&self) -> &'static str;
 
-    /// Canonical spec string that rebuilds this sink via
-    /// [`build_obs`] (a fixed point of the registry).
+    /// Canonical spec string that rebuilds this sink through the
+    /// facade's obs registry (a fixed point of it).
     fn spec_string(&self) -> String;
 
     /// The cell behind `key`, created on first use. Repeated calls
@@ -373,7 +350,8 @@ impl Obs {
         self.sink.as_deref().map_or("none", ObsSink::name)
     }
 
-    /// Canonical spec string (a fixed point of [`build_obs`]).
+    /// Canonical spec string (a fixed point of the facade's obs
+    /// registry).
     pub fn spec_string(&self) -> String {
         self.sink
             .as_deref()

@@ -9,9 +9,8 @@
 //! [`PlanSet`] — across runs, across engines, and (with the `file:`
 //! tier) across process restarts.
 //!
-//! Stores are built from string specs through a runtime-extensible
-//! registry ([`build_plan_store`]), mirroring the facade's backend
-//! registry:
+//! This crate holds the store types; the facade's registry builds them
+//! from string specs (`speculative_prefetch::build_plan_store`):
 //!
 //! | spec | store |
 //! |------|-------|
@@ -22,10 +21,14 @@
 //! | `tiered:<spec>,<spec>,…` | read-through/write-back chain with promotion on hit |
 //!
 //! ```
-//! use planstore::{build_plan_store, PlanGuard, PlanSet};
+//! use planstore::{HotStore, MemoryStore, PlanGuard, PlanSet, PlanStore, TieredStore};
 //! use std::sync::Arc;
 //!
-//! let store = build_plan_store("tiered:hot:8,memory:2x64")?;
+//! // The store `tiered:hot:8,memory:2x64` builds.
+//! let store = TieredStore::new(vec![
+//!     Arc::new(HotStore::new(8)) as Arc<dyn PlanStore>,
+//!     Arc::new(MemoryStore::new(2, 64)),
+//! ]);
 //! let set = Arc::new(PlanSet {
 //!     plans: vec![Some(vec![0, 2]), None],
 //!     guard: PlanGuard { policy_spec: "skp-exact".into(), catalog: vec![3.0, 5.0] },
@@ -33,7 +36,6 @@
 //! store.put(7, set.clone());
 //! assert_eq!(store.get(7).as_deref(), Some(&*set));
 //! assert_eq!(store.stats().hits, 1);
-//! # Ok::<(), planstore::StoreError>(())
 //! ```
 //!
 //! Because the key is a non-cryptographic 64-bit hash, stored values
@@ -46,17 +48,11 @@
 #![forbid(unsafe_code)]
 
 mod file;
-mod registry;
 mod tiers;
 
 pub use file::FileStore;
-pub use registry::{
-    build_plan_store, plan_store_names, plan_store_specs, register_plan_store, PlanStoreBuilder,
-    PlanStoreSpec,
-};
 pub use tiers::{HotStore, MemoryStore, NoneStore, TieredStore};
 
-use std::fmt;
 use std::sync::Arc;
 
 use access_model::MarkovChain;
@@ -164,24 +160,6 @@ impl PlanStoreStats {
     }
 }
 
-/// A malformed plan-store spec or registration conflict. Converted by
-/// the facade into its unified error type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreError {
-    /// Which spec family was malformed (e.g. `"hot plan-store spec"`).
-    pub what: &'static str,
-    /// Human-readable diagnosis of the malformation.
-    pub detail: String,
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid {}: {}", self.what, self.detail)
-    }
-}
-
-impl std::error::Error for StoreError {}
-
 /// A key-value store of solved population plans, content-addressed by
 /// [`population_plan_key`]. Implementations use interior mutability:
 /// `get`/`put` take `&self` so one store can be shared across engines
@@ -197,7 +175,7 @@ pub trait PlanStore: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Canonical spec string (reparses to an equivalent store through
-    /// [`build_plan_store`]).
+    /// the facade's plan-store registry).
     fn spec_string(&self) -> String;
 
     /// Looks up a plan set by content key.

@@ -17,11 +17,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use speculative_prefetch::registry::Entry;
 use speculative_prefetch::wire::{esc, list, render_access};
 use speculative_prefetch::{
-    backend_specs, build_plan_store, obs_sink_specs, parse_workload, plan_store_specs,
-    policy_specs, predictor_specs, render_report_fields, AccessStats, Engine, Error, PlanStore,
-    PlanStoreStats, WireRun, Workload,
+    backend_specs, build_plan_store, generator_specs, obs_sink_specs, parse_workload,
+    plan_store_specs, policy_specs, predictor_specs, render_report_fields, AccessStats, Engine,
+    Error, PlanStore, PlanStoreStats, WireRun, Workload,
 };
 
 use crate::http::{self, Request, Response};
@@ -429,55 +430,53 @@ fn route(req: &Request, state: &Arc<ServerState>, cfg: &ServeConfig) -> Response
     }
 }
 
+/// The JSON shape of a registry table's rows: policies and predictors
+/// describe one numeric `param` (`null` when the entry takes none) and
+/// policies also list their aliases; the other tables carry a
+/// `params` grammar string.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    Policy,
+    Predictor,
+    Grammar,
+}
+
+fn rows<B>(table: &[Entry<B>], shape: Shape) -> String {
+    list(table, |e| {
+        let (name, summary) = (esc(e.name), esc(e.summary));
+        if shape == Shape::Grammar {
+            let params = esc(e.params);
+            return format!(
+                "{{\"name\":\"{name}\",\"params\":\"{params}\",\"summary\":\"{summary}\"}}"
+            );
+        }
+        let aliases = if shape == Shape::Policy {
+            format!(
+                ",\"aliases\":{}",
+                list(e.aliases, |a| format!("\"{}\"", esc(a)))
+            )
+        } else {
+            String::new()
+        };
+        let param = if e.params.is_empty() {
+            "null".to_string()
+        } else {
+            format!("\"{}\"", esc(e.params))
+        };
+        format!("{{\"name\":\"{name}\"{aliases},\"summary\":\"{summary}\",\"param\":{param}}}")
+    })
+}
+
 fn registry_json() -> String {
-    let opt = |p: Option<&'static str>| match p {
-        Some(p) => format!("\"{}\"", esc(p)),
-        None => "null".to_string(),
-    };
-    let policies = list(policy_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"aliases\":{},\"summary\":\"{}\",\"param\":{}}}",
-            esc(s.name),
-            list(s.aliases, |a| format!("\"{}\"", esc(a))),
-            esc(s.summary),
-            opt(s.param)
-        )
-    });
-    let predictors = list(predictor_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"summary\":\"{}\",\"param\":{}}}",
-            esc(s.name),
-            esc(s.summary),
-            opt(s.param)
-        )
-    });
-    let backends = list(&backend_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
-            esc(s.name),
-            esc(s.params),
-            esc(s.summary)
-        )
-    });
-    let plan_stores = list(&plan_store_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
-            esc(s.name),
-            esc(s.params),
-            esc(s.summary)
-        )
-    });
-    let obs_sinks = list(&obs_sink_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
-            esc(s.name),
-            esc(s.params),
-            esc(s.summary)
-        )
-    });
     format!(
-        "{{\"policies\":{policies},\"predictors\":{predictors},\
-         \"backends\":{backends},\"plan_stores\":{plan_stores},\"obs_sinks\":{obs_sinks}}}"
+        "{{\"policies\":{},\"predictors\":{},\"backends\":{},\"plan_stores\":{},\
+         \"obs_sinks\":{},\"generators\":{}}}",
+        rows(policy_specs(), Shape::Policy),
+        rows(predictor_specs(), Shape::Predictor),
+        rows(backend_specs(), Shape::Grammar),
+        rows(plan_store_specs(), Shape::Grammar),
+        rows(obs_sink_specs(), Shape::Grammar),
+        rows(generator_specs(), Shape::Grammar),
     )
 }
 
@@ -791,6 +790,7 @@ mod tests {
         assert!(j.contains("\"backends\":["));
         assert!(j.contains("\"plan_stores\":["));
         assert!(j.contains("\"obs_sinks\":["));
+        assert!(j.contains("\"generators\":["));
         assert!(j.contains("skp-exact"));
         assert!(j.contains("\"served\""));
         assert!(j.contains("\"tiered\""));
@@ -948,6 +948,27 @@ skp_worker_queue_depth 3\n";
         let resp = handle_run("{\"kind\":\"sharded\"}", &store);
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("invalid-param"), "{}", resp.body);
+    }
+
+    /// A posted file must not size an allocation that aborts the
+    /// daemon: stripe counts and n-gram orders are bounded at parse.
+    #[test]
+    fn oversized_allocation_specs_map_to_400() {
+        let store = test_store();
+        for directive in [
+            "plan-store memory:1000000000000x1",
+            "predictor ngram:1000000000000",
+        ] {
+            let body = format!("v 5\nitem 0.5 2\nitem 0.5 3\nworkload trace\n{directive}\n");
+            let resp = handle_run(&body, &store);
+            assert_eq!(resp.status, 400, "{directive}: {}", resp.body);
+            assert!(
+                resp.body.contains("\"kind\":\"invalid-param\"")
+                    && resp.body.contains("must be at most"),
+                "{directive}: {}",
+                resp.body
+            );
+        }
     }
 
     #[test]

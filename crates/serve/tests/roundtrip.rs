@@ -109,7 +109,7 @@ fn version_registry_and_stats_endpoints_answer() {
 
     let registry = http_request(&addr, "GET", "/registry", None).expect("GET /registry");
     assert_eq!(registry.status, 200);
-    for needle in ["skp-exact", "\"sharded\"", "\"served\"", "ngram"] {
+    for needle in ["skp-exact", "\"sharded\"", "\"served\"", "ngram", "flash"] {
         assert!(registry.body.contains(needle), "missing {needle}");
     }
 

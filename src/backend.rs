@@ -2,14 +2,15 @@
 //!
 //! The substrate a workload runs on — private FIFO channel, shared
 //! channel, sharded server farm, parallel Monte-Carlo runner — is a
-//! [`BackendDriver`] implementation behind a string-keyed registry,
-//! mirroring the [policy](crate::registry) and
-//! [predictor](crate::predictor) registries. Adding a backend (an async
-//! event-loop driver, a load-aware placement farm) is one
-//! [`register_backend`] call; the [`Engine`](crate::Engine) dispatches
-//! through the trait and never matches on a backend type.
+//! [`BackendDriver`] implementation behind the string-keyed
+//! [registry](crate::registry), alongside policies and predictors.
+//! Adding a backend (an async event-loop driver, a load-aware placement
+//! farm) is one table entry; a driver outside the table plugs in
+//! through [`SessionBuilder::backend_driver`](crate::SessionBuilder::backend_driver).
+//! Either way the [`Engine`](crate::Engine) dispatches through the trait
+//! and never matches on a backend type.
 //!
-//! Spec-string grammar (see [`build_backend`]):
+//! Spec-string grammar (see [`build_backend`](crate::build_backend)):
 //!
 //! ```text
 //! single-client
@@ -19,7 +20,7 @@
 //! served:<host>:<port>[:<inner-backend-spec>]
 //! ```
 
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::Arc;
 
 use access_model::MarkovChain;
 use distsys::multiclient::{ClientPolicy, ClientWorkload, MultiClientSim};
@@ -30,12 +31,13 @@ use montecarlo::parallel::default_threads;
 use rand::rngs::SmallRng;
 
 use crate::error::Error;
+use crate::registry::{param_err, parse_positive, parse_topology, reject_trailing};
 use crate::report::ReportSection;
 
 /// Which mechanistic substrate the engine drives — the typed spec of the
 /// four built-in backends, kept as a convenience alongside the
-/// string-keyed registry ([`build_backend`] resolves arbitrary entries,
-/// including ones registered at runtime).
+/// string-keyed registry ([`build_backend`](crate::build_backend)
+/// resolves every registered entry).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Backend {
     /// One client on a private FIFO channel (`distsys`): replays agree
@@ -167,17 +169,18 @@ pub struct PopulationRun<'a> {
 /// session, fan out Monte-Carlo iterations or drive a client population
 /// on this backend.
 ///
-/// Implement this trait and [`register_backend`] the constructor to add
-/// a backend — the engine dispatches through the trait and needs no
-/// edits.
+/// Implement this trait and add the constructor to the registry's
+/// backend table, or install a driver directly with
+/// [`SessionBuilder::backend_driver`](crate::SessionBuilder::backend_driver)
+/// — the engine dispatches through the trait and needs no edits.
 pub trait BackendDriver: Send + Sync {
     /// Registry name of the backend family (e.g. `"sharded"`).
     fn name(&self) -> &'static str;
 
     /// Canonical spec string reconstructing this driver through
-    /// [`build_backend`] (e.g. `"sharded:4x16:hash"`). Must be a fixed
-    /// point: building from it yields a driver with the same spec
-    /// string.
+    /// [`build_backend`](crate::build_backend) (e.g.
+    /// `"sharded:4x16:hash"`). Must be a fixed point: building from it
+    /// yields a driver with the same spec string.
     fn spec_string(&self) -> String;
 
     /// Validates the configuration (called at
@@ -421,67 +424,8 @@ impl BackendDriver for MonteCarloDriver {
 }
 
 // ---------------------------------------------------------------------
-// The registry.
+// Spec-string constructors (rows of the registry's backend table).
 // ---------------------------------------------------------------------
-
-/// One entry of the backend listing (`skp-plan --list`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendSpec {
-    /// Backend family name (matches [`BackendDriver::name`]).
-    pub name: &'static str,
-    /// Spec-string parameter syntax after the name (empty if none).
-    pub params: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-/// Constructor signature of a registered backend: parses the spec
-/// string's parameter part (the text after the first `:`, if any).
-pub type BackendBuilder = fn(Option<&str>) -> Result<Arc<dyn BackendDriver>, Error>;
-
-struct BackendEntry {
-    spec: BackendSpec,
-    build: BackendBuilder,
-}
-
-pub(crate) fn param_err(what: &'static str, detail: String) -> Error {
-    Error::InvalidParam {
-        what,
-        detail: format!("{detail} (see `skp-plan --list` for the syntax)"),
-    }
-}
-
-/// A spec field that must be a positive integer — errors name the field
-/// and the offending text, never just "cannot parse".
-fn parse_positive(what: &'static str, field: &str, raw: &str) -> Result<usize, Error> {
-    let text = raw.trim();
-    match text.parse::<usize>() {
-        Ok(0) => Err(param_err(
-            what,
-            format!("{field} must be at least 1, got '0'"),
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(param_err(
-            what,
-            format!("{field} '{text}' is not a positive integer"),
-        )),
-    }
-}
-
-/// A `<shards>x<clients>` topology field.
-fn parse_topology(what: &'static str, raw: &str) -> Result<(usize, usize), Error> {
-    let text = raw.trim();
-    let (shards, clients) = text.split_once('x').ok_or_else(|| {
-        param_err(
-            what,
-            format!("topology '{text}' must be '<shards>x<clients>' (e.g. 4x16)"),
-        )
-    })?;
-    Ok((
-        parse_positive(what, "shard count", shards)?,
-        parse_positive(what, "client count", clients)?,
-    ))
-}
 
 /// A placement field (`hash | range | hot-cold@K`).
 fn parse_placement(what: &'static str, raw: &str) -> Result<Placement, Error> {
@@ -496,22 +440,7 @@ fn parse_placement(what: &'static str, raw: &str) -> Result<Placement, Error> {
     })
 }
 
-/// Rejects anything after the last recognised field.
-fn reject_trailing<'p>(
-    what: &'static str,
-    after: &'static str,
-    parts: &mut impl Iterator<Item = &'p str>,
-) -> Result<(), Error> {
-    match parts.next() {
-        None => Ok(()),
-        Some(junk) => Err(param_err(
-            what,
-            format!("trailing ':{junk}' after the {after}"),
-        )),
-    }
-}
-
-fn build_single_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
+pub(crate) fn build_single_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     if let Some(raw) = param {
         return Err(param_err(
             "single-client backend spec",
@@ -521,32 +450,37 @@ fn build_single_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Er
     Ok(Arc::new(SingleClientDriver))
 }
 
-fn build_multi_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
+pub(crate) fn build_multi_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     const WHAT: &str = "multi-client backend spec";
     let clients = match param {
         None => 1,
         Some(raw) => {
             let mut parts = raw.split(':');
             let clients = parse_positive(WHAT, "client count", parts.next().unwrap_or_default())?;
-            reject_trailing(WHAT, "client count", &mut parts)?;
+            reject_trailing(WHAT, "client count", parts)?;
             clients
         }
     };
     Ok(Arc::new(MultiClientDriver { clients }))
 }
 
-fn build_sharded(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
+pub(crate) fn build_sharded(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     const WHAT: &str = "sharded backend spec";
     let (shards, clients, placement) = match param {
         None => (1, 1, Placement::default()),
         Some(raw) => {
             let mut parts = raw.split(':');
-            let (shards, clients) = parse_topology(WHAT, parts.next().unwrap_or_default())?;
+            let (shards, clients) = parse_topology(
+                WHAT,
+                parts.next().unwrap_or_default(),
+                ("shard count", "client count"),
+                "'<shards>x<clients>' (e.g. 4x16)",
+            )?;
             let placement = match parts.next() {
                 None => Placement::default(),
                 Some(text) => parse_placement(WHAT, text)?,
             };
-            reject_trailing(WHAT, "placement", &mut parts)?;
+            reject_trailing(WHAT, "placement", parts)?;
             (shards, clients, placement)
         }
     };
@@ -557,14 +491,14 @@ fn build_sharded(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     }))
 }
 
-fn build_monte_carlo(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
+pub(crate) fn build_monte_carlo(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     const WHAT: &str = "monte-carlo backend spec";
     let (chunks, threads) = match param {
         None => (8, 0),
         Some(raw) => {
             let mut parts = raw.split(':');
             let field = parts.next().unwrap_or_default();
-            reject_trailing(WHAT, "chunk/thread counts", &mut parts)?;
+            reject_trailing(WHAT, "chunk/thread counts", parts)?;
             match field.split_once('x') {
                 None => (parse_positive(WHAT, "chunk count", field)?, 0),
                 Some((c, t)) => (
@@ -582,131 +516,10 @@ fn build_monte_carlo(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Erro
     Ok(Arc::new(MonteCarloDriver { chunks, threads }))
 }
 
-fn builtin_entries() -> Vec<BackendEntry> {
-    vec![
-        BackendEntry {
-            spec: BackendSpec {
-                name: "single-client",
-                params: "",
-                summary: "one client on a private FIFO channel (the paper's model; the default)",
-            },
-            build: build_single_client,
-        },
-        BackendEntry {
-            spec: BackendSpec {
-                name: "multi-client",
-                params: "clients",
-                summary: "population sharing one FIFO server channel (sharded with 1 shard)",
-            },
-            build: build_multi_client,
-        },
-        BackendEntry {
-            spec: BackendSpec {
-                name: "sharded",
-                params: "shards x clients : placement (hash|range|hot-cold@K)",
-                summary: "catalog partitioned across N server shards, one FIFO channel each",
-            },
-            build: build_sharded,
-        },
-        BackendEntry {
-            spec: BackendSpec {
-                name: "monte-carlo",
-                params: "chunks x threads (0 threads = auto)",
-                summary: "deterministic parallel Monte-Carlo over random scenarios",
-            },
-            build: build_monte_carlo,
-        },
-        // The registry seam stretched across a socket: population runs
-        // are serialised, posted to a running skp-serve daemon and the
-        // report parsed back — bit-identical to running the inner
-        // backend in-process (pinned by crates/serve/tests).
-        BackendEntry {
-            spec: BackendSpec {
-                name: "served",
-                params: "host : port : inner-backend-spec",
-                summary: "ships population runs to a running skp-serve daemon \
-                          (bit-identical to the inner backend in-process)",
-            },
-            build: crate::served::build_served,
-        },
-    ]
-}
-
-static REGISTRY: LazyLock<RwLock<Vec<BackendEntry>>> =
-    LazyLock::new(|| RwLock::new(builtin_entries()));
-
-/// Registers a backend family under `name`: `build_backend("name")` /
-/// `"name:<params>"` will call `build` with the parameter part, and the
-/// entry appears in [`backend_specs`] and `skp-plan --list`.
-///
-/// Errors with [`Error::InvalidParam`] if the name is already taken.
-pub fn register_backend(
-    name: &'static str,
-    params: &'static str,
-    summary: &'static str,
-    build: BackendBuilder,
-) -> Result<(), Error> {
-    let mut registry = REGISTRY.write().expect("backend registry poisoned");
-    if registry.iter().any(|e| e.spec.name == name) {
-        return Err(Error::InvalidParam {
-            what: "backend registration",
-            detail: format!("the name '{name}' is already registered"),
-        });
-    }
-    registry.push(BackendEntry {
-        spec: BackendSpec {
-            name,
-            params,
-            summary,
-        },
-        build,
-    });
-    Ok(())
-}
-
-/// Every registered backend, in registration order — derived from the
-/// registry, so `skp-plan --list` and the spec parser can never drift.
-pub fn backend_specs() -> Vec<BackendSpec> {
-    REGISTRY
-        .read()
-        .expect("backend registry poisoned")
-        .iter()
-        .map(|e| e.spec)
-        .collect()
-}
-
-/// Names of every registered backend, in registration order.
-pub fn backend_names() -> Vec<&'static str> {
-    backend_specs().iter().map(|s| s.name).collect()
-}
-
-/// Builds a backend driver from a spec string: a registry name with an
-/// optional `:params` suffix, e.g. `"single-client"`,
-/// `"multi-client:16"`, `"sharded:4x16:hash"`, `"monte-carlo:8x0"`.
-pub fn build_backend(spec: &str) -> Result<Arc<dyn BackendDriver>, Error> {
-    let (name, param) = match spec.split_once(':') {
-        None => (spec.trim(), None),
-        Some((name, rest)) => (name.trim(), Some(rest)),
-    };
-    let build = {
-        let registry = REGISTRY.read().expect("backend registry poisoned");
-        registry
-            .iter()
-            .find(|e| e.spec.name == name)
-            .map(|e| e.build)
-    };
-    match build {
-        Some(build) => build(param),
-        None => Err(Error::UnknownBackend {
-            name: name.to_string(),
-            known: backend_names(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{backend_names, build_backend};
 
     #[test]
     fn backend_enum_drivers_match_registry_names() {
@@ -851,12 +664,5 @@ mod tests {
             .is_err());
         }
         assert!(build_backend("sharded:3x3").unwrap().validate().is_ok());
-    }
-
-    #[test]
-    fn duplicate_registration_rejected() {
-        let err = register_backend("single-client", "", "dup", build_single_client)
-            .expect_err("must fail");
-        assert!(matches!(err, Error::InvalidParam { .. }));
     }
 }

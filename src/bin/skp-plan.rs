@@ -18,6 +18,7 @@
 //! skp-plan --list
 //! ```
 
+use speculative_prefetch::registry::Entry;
 use speculative_prefetch::wire::{esc, list, num};
 use speculative_prefetch::{
     backend_specs, generator_specs, global_applicable, obs_sink_specs, parse_scenario_file,
@@ -44,14 +45,29 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `(params: ...)` suffix shared by every registry whose spec type
-/// carries a `params` grammar string.
-fn params_suffix(params: &str) -> String {
-    if params.is_empty() {
-        String::new()
-    } else {
-        format!(" (params: {params})")
-    }
+/// One `--list` row per entry. Policy and predictor entries describe
+/// one numeric parameter (`; :param = …`); the other tables a parameter
+/// grammar (` (params: …)`).
+fn rows<B>(table: &[Entry<B>], numeric: bool) -> Vec<(String, String)> {
+    table
+        .iter()
+        .map(|e| {
+            let aliases = if e.aliases.is_empty() {
+                String::new()
+            } else {
+                format!(" (aliases: {})", e.aliases.join(", "))
+            };
+            let params = match (e.params, numeric) {
+                ("", _) => String::new(),
+                (p, true) => format!("; :param = {p}"),
+                (p, false) => format!(" (params: {p})"),
+            };
+            (
+                e.name.to_string(),
+                format!("{}{aliases}{params}", e.summary),
+            )
+        })
+        .collect()
 }
 
 /// The `--list` output as one table: every registry contributes a
@@ -60,87 +76,26 @@ fn params_suffix(params: &str) -> String {
 /// this single function.
 fn registry_sections() -> Vec<(&'static str, Vec<(String, String)>)> {
     vec![
-        (
-            "registered policies (--solver):",
-            policy_specs()
-                .iter()
-                .map(|spec| {
-                    let aliases = if spec.aliases.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" (aliases: {})", spec.aliases.join(", "))
-                    };
-                    let param = spec
-                        .param
-                        .map(|p| format!("; :param = {p}"))
-                        .unwrap_or_default();
-                    (
-                        spec.name.to_string(),
-                        format!("{}{aliases}{param}", spec.summary),
-                    )
-                })
-                .collect(),
-        ),
+        ("registered policies (--solver):", rows(policy_specs(), true)),
         (
             "registered predictors (for the library's SessionBuilder):",
-            predictor_specs()
-                .iter()
-                .map(|spec| {
-                    let param = spec
-                        .param
-                        .map(|p| format!("; :param = {p}"))
-                        .unwrap_or_default();
-                    (spec.name.to_string(), format!("{}{param}", spec.summary))
-                })
-                .collect(),
+            rows(predictor_specs(), true),
         ),
         (
             "registered backends (workload files' 'backend' / SessionBuilder::backend_spec):",
-            backend_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            rows(backend_specs(), false),
         ),
         (
             "registered plan stores ('plan-store' directive / --plan-store / SessionBuilder::plan_store):",
-            plan_store_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            rows(plan_store_specs(), false),
         ),
         (
             "registered obs sinks ('obs' directive / --obs / SessionBuilder::obs):",
-            obs_sink_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            rows(obs_sink_specs(), false),
         ),
         (
             "registered workload generators ('generate' directive / Workload::generated):",
-            generator_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            rows(generator_specs(), false),
         ),
     ]
 }

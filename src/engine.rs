@@ -6,7 +6,7 @@
 //!    [policy registry](crate::registry)),
 //! 3. a **cache** with Figure-6 arbitration (`cache-sim`), and
 //! 4. a **simulation backend** (a [`BackendDriver`] resolved through
-//!    the [backend registry](crate::backend)),
+//!    the [backend registry](crate::registry)),
 //!
 //! and one entry point: [`Engine::run`] takes a [`Workload`] value and
 //! returns a [`RunReport`] whose common [`AccessStats`] block makes any
@@ -33,11 +33,8 @@ use distsys::{Catalog, SessionConfig, Trace};
 use montecarlo::parallel::par_monte_carlo;
 use montecarlo::scenario_gen::ScenarioGen;
 use montecarlo::stats::RunningStats;
-use obs::{build_obs, EpochMark, Obs, PhaseTimer};
-use planstore::{
-    build_plan_store, population_plan_key, MemoryStore, PlanGuard, PlanSet, PlanStore,
-    PlanStoreStats,
-};
+use obs::{EpochMark, Obs, PhaseTimer};
+use planstore::{population_plan_key, MemoryStore, PlanGuard, PlanSet, PlanStore, PlanStoreStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use skp_core::arbitration::{PlanSolver, SubArbitration};
@@ -48,11 +45,12 @@ use skp_core::policy::{PolicyKind, Prefetcher};
 use skp_core::skp::upper_bound;
 use skp_core::{PrefetchPlan, Scenario};
 
-use crate::backend::{build_backend, Backend, BackendDriver, McFanout, PopulationRun};
+use crate::backend::{Backend, BackendDriver, McFanout, PopulationRun};
 use crate::error::Error;
-use crate::generator::build_generator;
-use crate::predictor::{build_predictor, Predictor};
-use crate::registry::build_policy;
+use crate::predictor::Predictor;
+use crate::registry::{
+    build_backend, build_generator, build_obs, build_plan_store, build_policy, build_predictor,
+};
 use crate::report::{PlanReport, ReportSection, RunReport, SimReport, TraceReport};
 use crate::workload::{MonteCarloSpec, Workload};
 
@@ -131,7 +129,7 @@ impl SessionBuilder {
     }
 
     /// Selects the access predictor by registry spec (e.g. `"ngram:2"`,
-    /// `"depgraph"`; see [`crate::predictor::predictor_specs`]). The
+    /// `"depgraph"`; see [`crate::predictor_specs`]). The
     /// predictor is constructed at build time over the catalog's item
     /// universe.
     pub fn predictor(mut self, spec: &str) -> Self {
@@ -184,7 +182,7 @@ impl SessionBuilder {
 
     /// Selects the simulation backend by registry spec string (e.g.
     /// `"sharded:4x16:hash"`; see
-    /// [`backend_specs`](crate::backend::backend_specs)) — the route
+    /// [`backend_specs`](crate::backend_specs)) — the route
     /// through which runtime-registered backends are reachable.
     pub fn backend_spec(mut self, spec: &str) -> Self {
         match build_backend(spec) {
@@ -217,7 +215,7 @@ impl SessionBuilder {
                 self.store = Some(s);
                 self.store_spec_err = None;
             }
-            Err(e) => self.store_spec_err = Some(e.into()),
+            Err(e) => self.store_spec_err = Some(e),
         }
         self
     }
@@ -233,7 +231,7 @@ impl SessionBuilder {
 
     /// Selects the observability sink by registry spec string (e.g.
     /// `"memory"`, `"sampled:64"`; see
-    /// [`obs_sink_specs`](obs::obs_sink_specs)). The default is
+    /// [`obs_sink_specs`](crate::obs_sink_specs)). The default is
     /// `"none"`: every instrument is a branch-on-null no-op, the phase
     /// clock is never read and [`RunReport::phases`](crate::RunReport)
     /// stays empty. Observability never changes results — reports and
@@ -244,7 +242,7 @@ impl SessionBuilder {
                 self.obs = Some(o);
                 self.obs_spec_err = None;
             }
-            Err(e) => self.obs_spec_err = Some(e.into()),
+            Err(e) => self.obs_spec_err = Some(e),
         }
         self
     }
@@ -413,8 +411,7 @@ impl Engine {
     }
 
     /// Canonical spec string of the configured plan store (reparses to
-    /// an equivalent store through
-    /// [`build_plan_store`](crate::build_plan_store)).
+    /// an equivalent store through [`build_plan_store`]).
     pub fn plan_store_spec_string(&self) -> String {
         self.store.spec_string()
     }
@@ -1165,7 +1162,7 @@ fn plan_access_stats(s: &Scenario, per_request: &[f64]) -> AccessStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::backend_specs;
+    use crate::registry::backend_specs;
     use distsys::scheduler::Placement;
     use montecarlo::probgen::ProbMethod;
 

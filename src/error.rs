@@ -167,27 +167,6 @@ impl From<std::io::Error> for Error {
     }
 }
 
-impl From<planstore::StoreError> for Error {
-    fn from(e: planstore::StoreError) -> Self {
-        // Plan-store spec errors are parameter errors of the same shape
-        // as the backend registry's — one variant covers both.
-        Error::InvalidParam {
-            what: e.what,
-            detail: e.detail,
-        }
-    }
-}
-
-impl From<obs::ObsError> for Error {
-    fn from(e: obs::ObsError) -> Self {
-        // Obs-sink spec errors follow the same parameter-error shape.
-        Error::InvalidParam {
-            what: e.what,
-            detail: e.detail,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,15 @@
 //! Adversarial workload generators as registry entries.
 //!
 //! Every workload the engine could run before this module was a
-//! well-behaved stationary chain. A [`ScenarioGen`] synthesises the
+//! well-behaved stationary chain. A [`WorkloadGen`] synthesises the
 //! conditions that make speculative prefetching *hard* — skewed and
 //! drifting popularity, bursty arrival rates, clients churning mid-run,
 //! shards failing or degrading — as a deterministic function of the
-//! catalog size and run seed, behind the same string-keyed registry
-//! seam as policies, predictors, backends, plan stores and obs sinks.
+//! catalog size and run seed. Generators are one of the six tables of
+//! the string-keyed [registry](crate::registry), next to policies,
+//! predictors, backends, plan stores and obs sinks.
 //!
-//! Spec-string grammar (see [`build_generator`]):
+//! Spec-string grammar (see [`build_generator`](crate::build_generator)):
 //!
 //! ```text
 //! flash:<zipf-s>@<drift>        Zipf popularity, hot-set centre drifts
@@ -27,13 +28,13 @@
 //! active (pinned by `tests/generators.rs`).
 
 use std::f64::consts::TAU;
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::Arc;
 
 use access_model::MarkovChain;
 use distsys::FaultSpec;
 
-use crate::backend::param_err;
 use crate::error::Error;
+use crate::registry::param_err;
 
 /// Baseline viewing time (simulated units) of generated states — a
 /// round mid-range value against the catalog's `r ∈ [1, 30]`.
@@ -47,17 +48,16 @@ const LOBBY_VIEWING: f64 = 50.0;
 /// population replays (and, for `faults:`, the fault specification the
 /// substrate applies).
 ///
-/// Implement this trait and [`register_generator`] the constructor to
-/// add a generator — the engine dispatches through the trait and needs
-/// no edits. Note the Monte-Carlo scenario sampler is a different seam
-/// ([`crate::ScenarioGen`]); this trait generates *population*
-/// workloads.
-pub trait ScenarioGen: Send + Sync {
+/// Implement this trait and add the constructor to the registry's
+/// generator table to add a generator — the engine dispatches through
+/// the trait and needs no edits.
+pub trait WorkloadGen: Send + Sync {
     /// Registry name of the generator family (e.g. `"flash"`).
     fn name(&self) -> &'static str;
 
     /// Canonical spec string reconstructing this generator through
-    /// [`build_generator`]. Must be a fixed point.
+    /// [`build_generator`](crate::build_generator). Must be a fixed
+    /// point.
     fn spec_string(&self) -> String;
 
     /// Synthesises the workload for a catalog of `n_items` items: the
@@ -103,7 +103,7 @@ struct FlashGen {
     drift: f64,
 }
 
-impl ScenarioGen for FlashGen {
+impl WorkloadGen for FlashGen {
     fn name(&self) -> &'static str {
         "flash"
     }
@@ -148,7 +148,7 @@ struct DiurnalGen {
     amplitude: f64,
 }
 
-impl ScenarioGen for DiurnalGen {
+impl WorkloadGen for DiurnalGen {
     fn name(&self) -> &'static str {
         "diurnal"
     }
@@ -181,7 +181,7 @@ struct ChurnGen {
     leave: f64,
 }
 
-impl ScenarioGen for ChurnGen {
+impl WorkloadGen for ChurnGen {
     fn name(&self) -> &'static str {
         "churn"
     }
@@ -222,7 +222,7 @@ struct FaultsGen {
     spec: FaultSpec,
 }
 
-impl ScenarioGen for FaultsGen {
+impl WorkloadGen for FaultsGen {
     fn name(&self) -> &'static str {
         "faults"
     }
@@ -243,7 +243,7 @@ impl ScenarioGen for FaultsGen {
 }
 
 // ---------------------------------------------------------------------
-// Spec parsing.
+// Spec-string constructors (rows of the registry's generator table).
 // ---------------------------------------------------------------------
 
 /// A spec field that must be a finite number — errors name the field
@@ -259,7 +259,7 @@ fn parse_number(what: &'static str, field: &str, raw: &str) -> Result<f64, Error
     }
 }
 
-fn build_flash(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
+pub(crate) fn build_flash(param: Option<&str>) -> Result<Arc<dyn WorkloadGen>, Error> {
     const WHAT: &str = "flash generator spec";
     let (zipf_s, drift) = match param {
         None => (1.2, 0.5),
@@ -290,7 +290,7 @@ fn build_flash(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
     Ok(Arc::new(FlashGen { zipf_s, drift }))
 }
 
-fn build_diurnal(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
+pub(crate) fn build_diurnal(param: Option<&str>) -> Result<Arc<dyn WorkloadGen>, Error> {
     const WHAT: &str = "diurnal generator spec";
     let (period, amplitude) = match param {
         None => (24.0, 0.5),
@@ -324,7 +324,7 @@ fn build_diurnal(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
     Ok(Arc::new(DiurnalGen { period, amplitude }))
 }
 
-fn build_churn(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
+pub(crate) fn build_churn(param: Option<&str>) -> Result<Arc<dyn WorkloadGen>, Error> {
     const WHAT: &str = "churn generator spec";
     let (join, leave) = match param {
         None => (0.2, 0.05),
@@ -354,153 +354,17 @@ fn build_churn(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
     Ok(Arc::new(ChurnGen { join, leave }))
 }
 
-fn build_faults(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
+pub(crate) fn build_faults(param: Option<&str>) -> Result<Arc<dyn WorkloadGen>, Error> {
     const WHAT: &str = "faults generator spec";
     let text = param.unwrap_or("svc=1.5");
     let spec = FaultSpec::parse(text).map_err(|detail| param_err(WHAT, detail))?;
     Ok(Arc::new(FaultsGen { spec }))
 }
 
-// ---------------------------------------------------------------------
-// The registry.
-// ---------------------------------------------------------------------
-
-/// One entry of the generator listing (`skp-plan --list`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeneratorSpec {
-    /// Generator family name (matches [`ScenarioGen::name`]).
-    pub name: &'static str,
-    /// Spec-string parameter syntax after the name (empty if none).
-    pub params: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-/// Constructor signature of a registered generator: parses the spec
-/// string's parameter part (the text after the first `:`, if any).
-pub type GeneratorBuilder = fn(Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error>;
-
-struct GeneratorEntry {
-    spec: GeneratorSpec,
-    build: GeneratorBuilder,
-}
-
-fn builtin_entries() -> Vec<GeneratorEntry> {
-    vec![
-        GeneratorEntry {
-            spec: GeneratorSpec {
-                name: "flash",
-                params: "zipf-s @ drift (0@0 = uniform baseline)",
-                summary: "flash crowd: Zipf-skewed popularity around a drifting hot set",
-            },
-            build: build_flash,
-        },
-        GeneratorEntry {
-            spec: GeneratorSpec {
-                name: "diurnal",
-                params: "period x amplitude (amplitude in [0,1))",
-                summary: "sinusoidal arrival-rate modulation over a forward catalog cycle",
-            },
-            build: build_diurnal,
-        },
-        GeneratorEntry {
-            spec: GeneratorSpec {
-                name: "churn",
-                params: "join-rate / leave-rate (both in [0,1])",
-                summary: "sessions joining and leaving mid-run through a long-viewing lobby",
-            },
-            build: build_churn,
-        },
-        GeneratorEntry {
-            spec: GeneratorSpec {
-                name: "faults",
-                params: "out=<shard>@<start>+<dur>; slow=<shard>x<factor>; svc=<spread>",
-                summary: "uniform baseline chain + shard outages, slow links, service spread",
-            },
-            build: build_faults,
-        },
-    ]
-}
-
-static REGISTRY: LazyLock<RwLock<Vec<GeneratorEntry>>> =
-    LazyLock::new(|| RwLock::new(builtin_entries()));
-
-/// Registers a generator family under `name`: `build_generator("name")`
-/// / `"name:<params>"` will call `build` with the parameter part, and
-/// the entry appears in [`generator_specs`] and `skp-plan --list`.
-///
-/// Errors with [`Error::InvalidParam`] if the name is already taken.
-pub fn register_generator(
-    name: &'static str,
-    params: &'static str,
-    summary: &'static str,
-    build: GeneratorBuilder,
-) -> Result<(), Error> {
-    let mut registry = REGISTRY.write().expect("generator registry poisoned");
-    if registry.iter().any(|e| e.spec.name == name) {
-        return Err(Error::InvalidParam {
-            what: "generator registration",
-            detail: format!("the name '{name}' is already registered"),
-        });
-    }
-    registry.push(GeneratorEntry {
-        spec: GeneratorSpec {
-            name,
-            params,
-            summary,
-        },
-        build,
-    });
-    Ok(())
-}
-
-/// Every registered generator, in registration order — derived from the
-/// registry, so `skp-plan --list` and the spec parser can never drift.
-pub fn generator_specs() -> Vec<GeneratorSpec> {
-    REGISTRY
-        .read()
-        .expect("generator registry poisoned")
-        .iter()
-        .map(|e| e.spec)
-        .collect()
-}
-
-/// Names of every registered generator, in registration order.
-pub fn generator_names() -> Vec<&'static str> {
-    generator_specs().iter().map(|s| s.name).collect()
-}
-
-/// Builds a workload generator from a spec string: a registry name with
-/// an optional `:params` suffix, e.g. `"flash:1.2@0.5"`,
-/// `"diurnal:24x0.5"`, `"churn:0.2/0.05"`,
-/// `"faults:out=1@40+20;svc=1.2"`.
-pub fn build_generator(spec: &str) -> Result<Arc<dyn ScenarioGen>, Error> {
-    let (name, param) = match spec.split_once(':') {
-        None => (spec.trim(), None),
-        Some((name, rest)) => (name.trim(), Some(rest)),
-    };
-    let build = {
-        let registry = REGISTRY.read().expect("generator registry poisoned");
-        registry
-            .iter()
-            .find(|e| e.spec.name == name)
-            .map(|e| e.build)
-    };
-    match build {
-        Some(build) => build(param),
-        None => Err(Error::InvalidParam {
-            what: "workload generator spec",
-            detail: format!(
-                "unknown generator '{name}' (known: {})",
-                generator_names().join(", ")
-            ),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::build_generator;
 
     #[test]
     fn spec_strings_are_fixed_points() {
@@ -559,12 +423,6 @@ mod tests {
         assert!(detail("faults:").contains("clause"));
         assert!(detail("faults:out=1@x+2").contains("outage start"));
         assert!(detail("warp-crowd").contains("unknown generator 'warp-crowd'"));
-    }
-
-    #[test]
-    fn duplicate_registration_rejected() {
-        let err = register_generator("flash", "", "dup", build_flash).expect_err("must fail");
-        assert!(matches!(err, Error::InvalidParam { .. }));
     }
 
     #[test]

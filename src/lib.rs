@@ -9,15 +9,18 @@
 //! one closed-form decision, a recorded trace, a Monte-Carlo sweep or a
 //! browsing population — and read back a [`RunReport`] whose common
 //! [`AccessStats`] block (count/mean/p50/p99/min/max) makes any two
-//! runs directly comparable. The four seams are all string-keyed
-//! registries:
+//! runs directly comparable. The seams are string-keyed: one
+//! [`registry`] holds a static table per seam, and every spec string —
+//! CLI flag, workload-file directive, builder call — resolves through
+//! it:
 //!
 //! 1. an **access predictor** ([`Predictor`]; [`build_predictor`]),
 //! 2. a **prefetch policy** ([`Prefetcher`]; [`build_policy`]),
 //! 3. a **client cache** with Figure-6 arbitration (`cache-sim`),
 //! 4. a **simulation backend** ([`BackendDriver`]; [`build_backend`] —
 //!    private-channel single client, shared channel, sharded farm,
-//!    parallel Monte-Carlo, plus anything you [`register_backend`]),
+//!    parallel Monte-Carlo; a custom driver plugs in through
+//!    [`SessionBuilder::backend_driver`]),
 //!
 //! plus a fifth, orthogonal seam: a **plan store** ([`PlanStore`];
 //! [`build_plan_store`]) that caches solved population plan sets
@@ -38,6 +41,10 @@
 //! `crates/bench/benches/obs.rs`. Like the plan store, observability
 //! never changes results — reports and event logs are bit-identical
 //! with the sink on or off.
+//!
+//! The registry's last table holds adversarial workload generators
+//! ([`WorkloadGen`]; [`build_generator`]): flash crowds, diurnal load,
+//! session churn and shard faults.
 //!
 //! ## Quickstart
 //!
@@ -149,26 +156,23 @@ pub use montecarlo as mc;
 pub use skp_core as core;
 
 // ---- the facade ------------------------------------------------------
-pub use backend::{
-    backend_names, backend_specs, build_backend, register_backend, Backend, BackendBuilder,
-    BackendDriver, BackendSpec, McFanout, PopulationRun,
-};
+pub use backend::{Backend, BackendDriver, McFanout, PopulationRun};
 pub use engine::{Engine, SessionBuilder};
 pub use error::Error;
-pub use generator::{
-    build_generator, generator_names, generator_specs, register_generator, GeneratorSpec,
-};
+pub use generator::WorkloadGen;
 pub use obs::{
-    build_obs, obs_sink_names, obs_sink_specs, register_obs_sink, EpochMark, FaultWindow, Obs,
-    ObsError, ObsSink, ObsSpec, PhaseBreakdown, PhaseSpan, Snapshot as ObsSnapshot,
+    EpochMark, FaultWindow, Obs, ObsSink, PhaseBreakdown, PhaseSpan, Snapshot as ObsSnapshot,
 };
 pub use planstore::{
-    build_plan_store, plan_store_names, plan_store_specs, population_plan_key, register_plan_store,
-    PlanGuard, PlanSet, PlanStore, PlanStoreBuilder, PlanStoreSpec, PlanStoreStats, StoreError,
-    TierStats,
+    population_plan_key, PlanGuard, PlanSet, PlanStore, PlanStoreStats, TierStats,
 };
-pub use predictor::{build_predictor, predictor_names, predictor_specs, Predictor, PredictorSpec};
-pub use registry::{build_policy, policy_names, policy_specs, PolicySpec};
+pub use predictor::Predictor;
+pub use registry::{
+    backend_names, backend_specs, build_backend, build_generator, build_obs, build_plan_store,
+    build_policy, build_predictor, generator_names, generator_specs, obs_sink_names,
+    obs_sink_specs, plan_store_names, plan_store_specs, policy_names, policy_specs,
+    predictor_names, predictor_specs,
+};
 pub use report::{PlanReport, ReportSection, RunReport, SimReport, TraceReport};
 pub use scenario_file::{
     parse as parse_scenario_file, parse_workload, render_workload, ChainSpec, ParseError,

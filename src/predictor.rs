@@ -5,9 +5,9 @@
 //! `predict_row(i)`, `empirical_prob(i)`). The [`Predictor`] trait puts
 //! them behind one interface — *observe the realised access, forecast
 //! the next one* — so the [`Engine`](crate::engine::Engine) (and any
-//! future learned model) can swap them freely, and the string-keyed
-//! [registry](predictor_specs) makes them constructible from
-//! configuration, CLI flags or experiment sweeps.
+//! future learned model) can swap them freely, and the predictor table
+//! of the string-keyed [registry](crate::registry) makes them
+//! constructible from configuration, CLI flags or experiment sweeps.
 
 use access_model::{DependencyGraph, FreqTracker, MarkovEstimator, NgramPredictor};
 
@@ -110,25 +110,16 @@ impl Predictor for FreqTracker {
     }
 }
 
-/// Constructor signature of a registered predictor family.
-type PredictorBuilder = fn(usize, Option<f64>) -> Result<Box<dyn Predictor>, Error>;
-
-/// A registered predictor family.
-pub struct PredictorSpec {
-    /// Registry name (the part before `:` in a spec string).
-    pub name: &'static str,
-    /// One-line description for `--list`-style output.
-    pub summary: &'static str,
-    /// Meaning of the optional `:param` suffix, if the family takes one.
-    pub param: Option<&'static str>,
-    build: PredictorBuilder,
-}
+/// Highest n-gram order a spec may ask for: the model allocates one
+/// table per order up front, so an unbounded order lets one short spec
+/// exhaust memory.
+const NGRAM_MAX_ORDER: usize = 64;
 
 fn bad_param(what: &'static str, detail: String) -> Error {
     Error::InvalidParam { what, detail }
 }
 
-fn build_ngram(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
+pub(crate) fn build_ngram(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let order = param.unwrap_or(2.0);
     if order < 1.0 || order.fract() != 0.0 {
         return Err(bad_param(
@@ -136,10 +127,16 @@ fn build_ngram(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error
             format!("expected a positive integer, got {order}"),
         ));
     }
+    if order > NGRAM_MAX_ORDER as f64 {
+        return Err(bad_param(
+            "ngram order",
+            format!("must be at most {NGRAM_MAX_ORDER}, got {order}"),
+        ));
+    }
     Ok(Box::new(NgramPredictor::new(n, order as usize)))
 }
 
-fn build_depgraph(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
+pub(crate) fn build_depgraph(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let window = param.unwrap_or(2.0);
     if window < 1.0 || window.fract() != 0.0 {
         return Err(bad_param(
@@ -150,7 +147,7 @@ fn build_depgraph(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Er
     Ok(Box::new(DependencyGraph::new(n, window as usize)))
 }
 
-fn build_markov(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
+pub(crate) fn build_markov(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let alpha = param.unwrap_or(0.5);
     if !alpha.is_finite() || alpha <= 0.0 {
         return Err(bad_param(
@@ -161,82 +158,17 @@ fn build_markov(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Erro
     Ok(Box::new(MarkovEstimator::new(n, alpha)))
 }
 
-fn build_freq(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
+pub(crate) fn build_freq(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     if param.is_some() {
         return Err(bad_param("freq predictor", "takes no parameter".into()));
     }
     Ok(Box::new(FreqTracker::new(n)))
 }
 
-/// Every registered predictor family, in stable order.
-pub fn predictor_specs() -> &'static [PredictorSpec] {
-    &[
-        PredictorSpec {
-            name: "ngram",
-            summary: "online order-k Markov (PPM-flavoured) predictor",
-            param: Some("context order k (default 2)"),
-            build: build_ngram,
-        },
-        PredictorSpec {
-            name: "depgraph",
-            summary: "Padmanabhan–Mogul dependency-graph predictor",
-            param: Some("observation window w (default 2)"),
-            build: build_depgraph,
-        },
-        PredictorSpec {
-            name: "markov",
-            summary: "first-order Markov row estimator with add-alpha smoothing",
-            param: Some("smoothing alpha (default 0.5)"),
-            build: build_markov,
-        },
-        PredictorSpec {
-            name: "freq",
-            summary: "IRM-style empirical access-frequency forecast",
-            param: None,
-            build: build_freq,
-        },
-    ]
-}
-
-/// Names of every registered predictor family.
-pub fn predictor_names() -> Vec<&'static str> {
-    predictor_specs().iter().map(|s| s.name).collect()
-}
-
-/// Builds a predictor over `n_items` from a spec string: a registry
-/// name with an optional `:param` suffix, e.g. `"ngram"`, `"ngram:3"`,
-/// `"markov:0.1"`.
-pub fn build_predictor(spec: &str, n_items: usize) -> Result<Box<dyn Predictor>, Error> {
-    let (name, param) = split_spec(spec, "predictor parameter")?;
-    for entry in predictor_specs() {
-        if entry.name == name {
-            return (entry.build)(n_items, param);
-        }
-    }
-    Err(Error::UnknownPredictor {
-        name: name.to_string(),
-        known: predictor_names(),
-    })
-}
-
-/// Splits `"name"` / `"name:1.5"` into the name and the parsed
-/// parameter.
-pub(crate) fn split_spec(spec: &str, what: &'static str) -> Result<(String, Option<f64>), Error> {
-    match spec.split_once(':') {
-        None => Ok((spec.trim().to_string(), None)),
-        Some((name, raw)) => {
-            let value: f64 = raw.trim().parse().map_err(|_| Error::InvalidParam {
-                what,
-                detail: format!("'{raw}' is not a number"),
-            })?;
-            Ok((name.trim().to_string(), Some(value)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{build_predictor, predictor_specs};
 
     #[test]
     fn every_registered_predictor_builds() {

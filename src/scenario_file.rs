@@ -1042,7 +1042,7 @@ item 0.2 9 video
 
     #[test]
     fn file_plan_store_wins_over_an_injected_store() {
-        let shared = planstore::build_plan_store("hot:4").unwrap();
+        let shared = crate::build_plan_store("hot:4").unwrap();
         // The file pins its own store: the host's shared one is ignored.
         let pinned = parse_workload(WORKLOAD_SAMPLE).unwrap();
         let engine = pinned

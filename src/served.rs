@@ -26,8 +26,9 @@ use distsys::scheduler::SimEvent;
 use distsys::stats::AccessStats;
 use distsys::{Catalog, SessionConfig};
 
-use crate::backend::{build_backend, param_err, BackendDriver, PopulationRun};
+use crate::backend::{BackendDriver, PopulationRun};
 use crate::error::Error;
+use crate::registry::{build_backend, param_err, split_spec};
 use crate::report::ReportSection;
 use crate::wire::{self, Json, WireRun};
 
@@ -144,8 +145,8 @@ impl BackendDriver for ServedDriver {
     }
 }
 
-/// Registry constructor for `served:` specs (registered in the builtin
-/// backend table).
+/// Registry constructor for `served:` specs (a row of the backend
+/// table).
 pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     let (host, port, inner) = match param {
         None => ("127.0.0.1".to_string(), 7077, None),
@@ -183,8 +184,7 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
     let inner = match inner {
         None => build_backend("sharded")?,
         Some(spec) => {
-            let name = spec.split(':').next().unwrap_or_default().trim();
-            if name == "served" {
+            if split_spec(spec).0 == "served" {
                 return Err(param_err(
                     WHAT,
                     "inner backend must not itself be 'served' (no daemon chaining)".into(),

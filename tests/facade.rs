@@ -4,8 +4,8 @@
 
 use speculative_prefetch::{
     build_backend, build_policy, build_predictor, policy_names, policy_specs, predictor_names,
-    predictor_specs, register_backend, Backend, BackendDriver, Engine, Error, MarkovChain,
-    MonteCarloSpec, ProbMethod, ReportSection, Scenario, Trace, TraceReport, Workload,
+    predictor_specs, Backend, BackendDriver, Engine, Error, MarkovChain, MonteCarloSpec,
+    ProbMethod, ReportSection, Scenario, Trace, TraceReport, Workload,
 };
 
 fn scenario() -> Scenario {
@@ -31,7 +31,7 @@ fn policy_registry_enumerates_and_builds_everything() {
             }
         }
         // Parameterised entries accept an explicit parameter too.
-        if spec.param.is_some() {
+        if !spec.params.is_empty() {
             let with_param = format!("{}:0.5", spec.name);
             assert!(build_policy(&with_param).is_ok(), "{with_param} must build");
         }
@@ -355,12 +355,12 @@ fn monte_carlo_oracle_dominates() {
 }
 
 // ---------------------------------------------------------------------
-// The open backend registry.
+// The open backend seam.
 // ---------------------------------------------------------------------
 
 /// A trivial test-only backend: every population request is served in a
 /// constant time, reported through the trace section shape. It lives
-/// entirely in this test — registering it and running a workload on it
+/// entirely in this test — installing it and running a workload on it
 /// requires no edits to `src/engine.rs` (no `match` anywhere in the
 /// facade knows about it).
 struct ConstantTimeDriver;
@@ -411,37 +411,21 @@ impl BackendDriver for ConstantTimeDriver {
     }
 }
 
-/// Tentpole acceptance: a new backend is one registry entry, reachable
-/// by its spec string through the builder and `Engine::run`, with no
-/// engine edits.
+/// A backend outside the registry plugs in through
+/// `SessionBuilder::backend_driver` and runs end to end: the engine
+/// dispatches through the trait with no engine edits.
 #[test]
-fn runtime_registered_backend_is_reachable_via_spec_string() {
-    register_backend(
-        "constant-time",
-        "",
-        "test-only: constant-time population service",
-        |param| {
-            if param.is_some() {
-                return Err(Error::InvalidParam {
-                    what: "constant-time backend",
-                    detail: "takes no parameter".into(),
-                });
-            }
-            Ok(std::sync::Arc::new(ConstantTimeDriver))
-        },
-    )
-    .expect("fresh name registers");
-
-    // The registry now lists it...
-    assert!(speculative_prefetch::backend_names().contains(&"constant-time"));
-    // ...the spec string builds it...
-    let driver = build_backend("constant-time").expect("registered spec builds");
-    assert_eq!(driver.name(), "constant-time");
-    assert_eq!(driver.spec_string(), "constant-time");
-    // ...and an engine drives a workload on it, end to end.
+fn custom_backend_driver_runs_end_to_end() {
+    // The registry does not know the name...
+    assert!(!speculative_prefetch::backend_names().contains(&"constant-time"));
+    assert!(matches!(
+        build_backend("constant-time"),
+        Err(Error::UnknownBackend { .. })
+    ));
+    // ...and an engine drives a workload on the installed driver.
     let chain = MarkovChain::random(4, 1, 2, 1, 5, 3).expect("valid chain");
     let mut engine = Engine::builder()
-        .backend_spec("constant-time")
+        .backend_driver(std::sync::Arc::new(ConstantTimeDriver))
         .catalog(vec![2.0; 4])
         .build()
         .expect("builds on the custom backend");
@@ -462,6 +446,5 @@ fn runtime_registered_backend_is_reachable_via_spec_string() {
     // always carries comparable AccessStats, whatever the substrate.
     assert_eq!(report.access.count, 17);
     assert_eq!(report.access.mean, 1.0);
-    // Duplicate registration is rejected, so the registry stays sane.
-    assert!(register_backend("constant-time", "", "dup", |_| unreachable!()).is_err());
+    assert_eq!(engine.backend_spec_string(), "constant-time");
 }
