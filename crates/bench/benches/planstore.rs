@@ -1,16 +1,16 @@
-//! Cold vs warm population runs across the plan-store tiers — the
+//! Cold vs warm population runs across the plan stores — the
 //! wall-clock acceptance bench of the plan-store subsystem.
 //!
 //! The workload is solve-dominated: a 96-state chain with heavy
 //! fan-out under `skp-exact`, so per-state plan solving dwarfs the
 //! event simulation. Every cell runs the identical workload twice per
-//! tier spec — **cold** (fresh engine, empty store) and **warm**
+//! store spec — **cold** (fresh engine, empty store) and **warm**
 //! (fresh engine, sharing the store a previous run populated) —
 //! asserts the two `RunReport`s are bit-identical including the event
 //! log, and reports both wall-clock times and the warm speed-up. `--quick` shrinks the sweep for CI while keeping the
 //! equivalence assertion; `--out <path>` writes the sweep as a JSON
 //! snapshot — the checked-in `BENCH_planstore.json` at the repo root
-//! is one such run.
+//! is one such run, stamped with the host it ran on.
 //!
 //! All `file:` state lives under one scratch directory that is removed
 //! before the bench exits, so repeated runs (and CI) never inherit a
@@ -80,10 +80,8 @@ fn main() {
     let root = std::env::temp_dir().join(format!("skp-plan-store-bench-{}", std::process::id()));
     let specs: Vec<String> = vec![
         "none".to_string(),
-        "hot:256".to_string(),
         "memory:8x1024".to_string(),
         format!("file:{}", root.join("file").display()),
-        format!("tiered:hot:256,file:{}", root.join("tiered").display()),
     ];
 
     // Solve-dominated: heavy fan-out makes each state's skp-exact solve
@@ -99,8 +97,8 @@ fn main() {
     let mut cells = Vec::new();
     for spec in &specs {
         // A wiped scratch dir makes every cold sample genuinely cold
-        // for the persistent tiers; in-memory tiers get a fresh store
-        // per sample anyway.
+        // for the persistent store; the in-memory ones are rebuilt per
+        // sample anyway.
         let wipe = || {
             let _ = std::fs::remove_dir_all(&root);
         };
@@ -159,7 +157,8 @@ fn main() {
         let snapshot = format!(
             "{{\"bench\":\"planstore\",\"states\":{N},\"clients\":{CLIENTS},\
              \"requests_per_client\":{requests},\"samples\":{samples},\"quick\":{quick},\
-             \"cells\":{}}}\n",
+             \"host\":{},\"cells\":{}}}\n",
+            skp_bench::host_json(),
             list(&cells, Cell::json)
         );
         std::fs::write(&path, snapshot).expect("write snapshot");
@@ -167,17 +166,17 @@ fn main() {
     }
 
     // The acceptance claim: on solve-dominated cells every retaining
-    // tier serves the warm repeat at least 2x faster than cold. The
+    // store serves the warm repeat at least 2x faster than cold. The
     // `none` cell is the honest baseline (speed-up ~1) and is exempt.
     let ok = cells
         .iter()
         .filter(|c| c.spec != "none")
         .all(|c| c.speedup() >= 2.0);
     println!(
-        "warm repeat >= 2x faster than cold on every retaining tier: {}",
+        "warm repeat >= 2x faster than cold on every retaining store: {}",
         if ok { "yes" } else { "NO" }
     );
     if !quick {
-        assert!(ok, "a retaining tier failed the 2x warm-speedup gate");
+        assert!(ok, "a retaining store failed the 2x warm-speedup gate");
     }
 }

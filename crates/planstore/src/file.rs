@@ -97,7 +97,6 @@ impl PlanStore for FileStore {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: 0,
-            promotions: 0,
             entries,
         })
     }

@@ -1,5 +1,5 @@
-//! Tiered plan store: cross-run, cross-client caching of solved
-//! per-state prefetch plans behind a pluggable KV seam.
+//! Plan store: cross-run, cross-client caching of solved per-state
+//! prefetch plans behind a pluggable KV seam.
 //!
 //! A population run solves one prefetch plan per Markov state; the
 //! registry policies are pure functions of the scenario, so the
@@ -7,7 +7,7 @@
 //! [`population_plan_key`] folds that triple into a 64-bit FNV-1a
 //! content key, and a [`PlanStore`] maps the key to the solved
 //! [`PlanSet`] — across runs, across engines, and (with the `file:`
-//! tier) across process restarts.
+//! store) across process restarts.
 //!
 //! This crate holds the store types; the facade's registry builds them
 //! from string specs (`speculative_prefetch::build_plan_store`):
@@ -15,20 +15,16 @@
 //! | spec | store |
 //! |------|-------|
 //! | `none` | the null store: never hits, never retains |
-//! | `hot:<cap>` | per-thread unsynchronized LRU (no locks on the hot path) |
 //! | `memory:<shards>x<cap>` | sharded, lock-striped LRU (cap per shard) |
+//! | `hot:<cap>` | shorthand for `memory:1x<cap>` |
 //! | `file:<dir>` | persistent one-file-per-key store, bit-exact across restarts |
-//! | `tiered:<spec>,<spec>,…` | read-through/write-back chain with promotion on hit |
 //!
 //! ```
-//! use planstore::{HotStore, MemoryStore, PlanGuard, PlanSet, PlanStore, TieredStore};
+//! use planstore::{MemoryStore, PlanGuard, PlanSet, PlanStore};
 //! use std::sync::Arc;
 //!
-//! // The store `tiered:hot:8,memory:2x64` builds.
-//! let store = TieredStore::new(vec![
-//!     Arc::new(HotStore::new(8)) as Arc<dyn PlanStore>,
-//!     Arc::new(MemoryStore::new(2, 64)),
-//! ]);
+//! // The store `memory:2x64` builds.
+//! let store = MemoryStore::new(2, 64);
 //! let set = Arc::new(PlanSet {
 //!     plans: vec![Some(vec![0, 2]), None],
 //!     guard: PlanGuard { policy_spec: "skp-exact".into(), catalog: vec![3.0, 5.0] },
@@ -36,6 +32,7 @@
 //! store.put(7, set.clone());
 //! assert_eq!(store.get(7).as_deref(), Some(&*set));
 //! assert_eq!(store.stats().hits, 1);
+//! assert_eq!(store.spec_string(), "memory:2x64");
 //! ```
 //!
 //! Because the key is a non-cryptographic 64-bit hash, stored values
@@ -51,7 +48,7 @@ mod file;
 mod tiers;
 
 pub use file::FileStore;
-pub use tiers::{HotStore, MemoryStore, NoneStore, TieredStore};
+pub use tiers::{MemoryStore, NoneStore};
 
 use std::sync::Arc;
 
@@ -103,9 +100,8 @@ impl PlanSet {
     }
 }
 
-/// Counters of one tier of a store. Every simple store reports exactly
-/// one row; a [`TieredStore`] reports the concatenation of its
-/// sub-tiers' rows with the chain's promotion counts folded in.
+/// Counters of one tier of a store. Every store reports exactly one
+/// row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TierStats {
     /// The tier's canonical spec string (e.g. `memory:8x1024`).
@@ -116,8 +112,6 @@ pub struct TierStats {
     pub misses: u64,
     /// Entries evicted to respect the tier's capacity.
     pub evictions: u64,
-    /// Values copied into this tier because a lower tier hit.
-    pub promotions: u64,
     /// Values currently resident in the tier.
     pub entries: u64,
 }
@@ -166,10 +160,9 @@ impl PlanStoreStats {
 /// and worker threads behind an `Arc`.
 ///
 /// The contract mirrors a read-through cache, not a database: `put`
-/// is best-effort (a full or failing tier may drop the value), `get`
+/// is best-effort (a full or failing store may drop the value), `get`
 /// must never fabricate — a corrupt or mismatched entry is a miss.
-/// Values travel as `Arc<PlanSet>` so promotion between tiers never
-/// copies the plans.
+/// Values travel as `Arc<PlanSet>` so a hit never copies the plans.
 pub trait PlanStore: Send + Sync {
     /// The registry name of this store kind (e.g. `"memory"`).
     fn name(&self) -> &'static str;

@@ -1,8 +1,6 @@
-//! The in-memory store tiers: the null store, the per-thread hot
-//! cache, the sharded lock-striped store, and the tiered composition.
+//! The in-memory stores: the null store and the sharded lock-striped
+//! LRU.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -64,98 +62,6 @@ impl PlanStore for NoneStore {
         PlanStoreStats::from_tier(TierStats {
             tier: "none".to_string(),
             ..TierStats::default()
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// hot:<cap>
-// ---------------------------------------------------------------------
-
-/// Distinguishes the per-thread lanes of distinct `HotStore` instances
-/// sharing one thread-local map.
-static NEXT_HOT_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread LRU lanes, keyed by `HotStore` instance id. Living in
-    /// a thread-local means `get`/`put` never synchronise — the tier is
-    /// meant as the first link of a `tiered:` chain, absorbing repeat
-    /// lookups before they reach a locked tier.
-    static HOT_LANES: RefCell<HashMap<u64, LruLane>> = RefCell::new(HashMap::new());
-}
-
-/// Per-thread unsynchronized LRU (`hot:<cap>`). Each thread sees its
-/// own lane (capacity `cap` per thread); the counters are aggregated
-/// across threads with relaxed atomics, so `entries` reports the sum
-/// of all lanes.
-#[derive(Debug)]
-pub struct HotStore {
-    id: u64,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    entries: AtomicU64,
-}
-
-impl HotStore {
-    /// A hot store holding up to `cap` entries per thread.
-    pub fn new(cap: usize) -> Self {
-        HotStore {
-            id: NEXT_HOT_ID.fetch_add(1, Ordering::Relaxed),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-        }
-    }
-}
-
-impl PlanStore for HotStore {
-    fn name(&self) -> &'static str {
-        "hot"
-    }
-
-    fn spec_string(&self) -> String {
-        format!("hot:{}", self.cap)
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<PlanSet>> {
-        let found = HOT_LANES.with(|lanes| {
-            let mut lanes = lanes.borrow_mut();
-            lane_get(lanes.entry(self.id).or_default(), key)
-        });
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn put(&self, key: u64, value: Arc<PlanSet>) {
-        HOT_LANES.with(|lanes| {
-            let mut lanes = lanes.borrow_mut();
-            let lane = lanes.entry(self.id).or_default();
-            if lane_put(lane, key, value) {
-                if lane.len() > self.cap {
-                    lane.pop();
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-
-    fn stats(&self) -> PlanStoreStats {
-        PlanStoreStats::from_tier(TierStats {
-            tier: self.spec_string(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            promotions: 0,
-            entries: self.entries.load(Ordering::Relaxed),
         })
     }
 }
@@ -243,83 +149,6 @@ impl PlanStore for MemoryStore {
     }
 }
 
-// ---------------------------------------------------------------------
-// tiered:<spec>,<spec>,…
-// ---------------------------------------------------------------------
-
-/// Read-through/write-back chain (`tiered:<spec>,…`): `get` probes the
-/// tiers in order and, on a hit in a lower tier, promotes the value
-/// into every tier above it; `put` writes all tiers. Stats report one
-/// row per sub-tier (in chain order) with the chain's promotion counts
-/// folded into each row.
-pub struct TieredStore {
-    tiers: Vec<Arc<dyn PlanStore>>,
-    promotions: Vec<AtomicU64>,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl TieredStore {
-    /// Chains `tiers` from hottest (probed first) to coldest.
-    pub fn new(tiers: Vec<Arc<dyn PlanStore>>) -> Self {
-        let promotions = tiers.iter().map(|_| AtomicU64::new(0)).collect();
-        TieredStore {
-            tiers,
-            promotions,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
-}
-
-impl PlanStore for TieredStore {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-
-    fn spec_string(&self) -> String {
-        let specs: Vec<String> = self.tiers.iter().map(|t| t.spec_string()).collect();
-        format!("tiered:{}", specs.join(","))
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<PlanSet>> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        for (depth, tier) in self.tiers.iter().enumerate() {
-            if let Some(value) = tier.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                for above in 0..depth {
-                    self.tiers[above].put(key, value.clone());
-                    self.promotions[above].fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(value);
-            }
-        }
-        None
-    }
-
-    fn put(&self, key: u64, value: Arc<PlanSet>) {
-        for tier in &self.tiers {
-            tier.put(key, value.clone());
-        }
-    }
-
-    fn stats(&self) -> PlanStoreStats {
-        let mut rows = Vec::with_capacity(self.tiers.len());
-        for (i, tier) in self.tiers.iter().enumerate() {
-            let mut sub = tier.stats();
-            if let Some(first) = sub.tiers.first_mut() {
-                first.promotions += self.promotions[i].load(Ordering::Relaxed);
-            }
-            rows.extend(sub.tiers);
-        }
-        PlanStoreStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            tiers: rows,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,77 +216,19 @@ mod tests {
         assert_eq!(store.spec_string(), "memory:2x1");
     }
 
+    /// What `hot:<cap>` builds: one stripe, shared by every thread that
+    /// holds the store, so a daemon worker sees what another put.
     #[test]
-    fn hot_store_is_an_lru_too() {
-        let store = HotStore::new(1);
-        store.put(1, sample_set(1));
-        store.put(2, sample_set(2));
-        assert!(store.get(1).is_none());
-        assert!(store.get(2).is_some());
-        let stats = store.stats();
-        assert_eq!(stats.tiers[0].evictions, 1);
-        assert_eq!(stats.tiers[0].entries, 1);
-    }
-
-    #[test]
-    fn hot_store_instances_do_not_share_lanes() {
-        let a = HotStore::new(4);
-        let b = HotStore::new(4);
-        a.put(1, sample_set(1));
-        assert!(b.get(1).is_none(), "instance b must not see a's entries");
-        assert!(a.get(1).is_some());
-    }
-
-    #[test]
-    fn hot_store_lanes_are_per_thread() {
-        let store = Arc::new(HotStore::new(4));
+    fn one_stripe_store_is_shared_across_threads() {
+        let store = Arc::new(MemoryStore::new(1, 4));
         store.put(1, sample_set(1));
         let remote = {
             let store = store.clone();
-            std::thread::spawn(move || store.get(1).is_none())
+            std::thread::spawn(move || store.get(1).is_some())
                 .join()
                 .expect("thread runs")
         };
-        assert!(remote, "another thread has its own empty lane");
-        assert!(store.get(1).is_some(), "this thread's lane is intact");
-    }
-
-    #[test]
-    fn tiered_promotes_on_lower_tier_hit() {
-        let upper: Arc<dyn PlanStore> = Arc::new(MemoryStore::new(1, 4));
-        let lower: Arc<dyn PlanStore> = Arc::new(MemoryStore::new(1, 4));
-        lower.put(7, sample_set(7));
-        let chain = TieredStore::new(vec![upper.clone(), lower]);
-        assert!(chain.get(7).is_some(), "read-through finds the lower tier");
-        // The hit promoted the value into the upper tier.
-        assert!(upper.get(7).is_some());
-        let stats = chain.stats();
-        assert_eq!(stats.lookups, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.tiers.len(), 2);
-        assert_eq!(stats.tiers[0].promotions, 1);
-        assert_eq!(stats.tiers[1].promotions, 0);
-        assert_eq!(stats.tiers[1].hits, 1);
-    }
-
-    #[test]
-    fn tiered_put_writes_back_to_every_tier() {
-        let upper: Arc<dyn PlanStore> = Arc::new(MemoryStore::new(1, 4));
-        let lower: Arc<dyn PlanStore> = Arc::new(MemoryStore::new(1, 4));
-        let chain = TieredStore::new(vec![upper.clone(), lower.clone()]);
-        chain.put(3, sample_set(3));
-        assert!(upper.get(3).is_some());
-        assert!(lower.get(3).is_some());
-        assert_eq!(chain.spec_string(), "tiered:memory:1x4,memory:1x4");
-    }
-
-    #[test]
-    fn tiered_miss_counts_a_lookup_without_a_hit() {
-        let chain = TieredStore::new(vec![Arc::new(MemoryStore::new(1, 2)) as Arc<dyn PlanStore>]);
-        assert!(chain.get(5).is_none());
-        let stats = chain.stats();
-        assert_eq!(stats.lookups, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses(), 1);
+        assert!(remote, "another thread sees the entry");
+        assert_eq!(store.stats().hits, 1);
     }
 }

@@ -24,7 +24,9 @@
 //! Workers share one plan store (`--plan-store`, default
 //! `memory:8x1024`): the second client to post an identical population
 //! run gets its plans from the store — the body stays byte-identical,
-//! only `GET /stats` shows the hit.
+//! only `GET /stats` shows the hit. A posted body may not name its own
+//! store (`plan-store` directive) or chain to a daemon (`served:`
+//! backend): both get `400 invalid-param`.
 //!
 //! Connections are dispatched to a fixed worker pool through a bounded
 //! admission queue; when the queue is full the accept loop sheds the

@@ -487,12 +487,11 @@ fn stats_json(snap: &StatsSnapshot) -> String {
     let tiers = list(&ps.tiers, |t| {
         format!(
             "{{\"tier\":\"{}\",\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"promotions\":{},\"entries\":{}}}",
+             \"entries\":{}}}",
             esc(&t.tier),
             t.hits,
             t.misses,
             t.evictions,
-            t.promotions,
             t.entries
         )
     });
@@ -660,13 +659,6 @@ fn metrics_text(snap: &StatsSnapshot) -> String {
                 &tier_points(|t| t.evictions as f64),
             ),
             labelled(
-                "skp_plan_store_tier_promotions_total",
-                "Per-tier plan store promotions on hit.",
-                MetricKind::Counter,
-                "tier",
-                &tier_points(|t| t.promotions as f64),
-            ),
-            labelled(
                 "skp_plan_store_tier_entries",
                 "Plan sets currently retained, per tier.",
                 MetricKind::Gauge,
@@ -704,24 +696,26 @@ fn handle_run(body: &str, store: &Arc<dyn PlanStore>) -> Response {
 
 fn run_wire(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
     let wire_run = WireRun::parse(body)?;
-    if wire_run.backend.starts_with("served") {
-        return Err(Error::InvalidParam {
-            what: "wire run",
-            detail: "the daemon does not chain to other daemons; \
-                     post the inner backend spec directly"
-                .to_string(),
-        });
-    }
     let (mut engine, workload) = wire_run.instantiate_with_store(Arc::clone(store))?;
+    reject_chaining(&engine)?;
     let report = engine.run(&workload)?;
     Ok(report_json(&wire_run.kind, &engine, &report, &[]))
 }
 
 fn run_workload_file(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
     let file = parse_workload(body)?;
-    // A `plan-store` directive in the posted file still wins; files
-    // without one share the daemon's store across clients.
+    // Every posted file shares the daemon's store: a client must not
+    // pick what the daemon caches, nor where it writes files.
+    if file.plan_store.is_some() {
+        return Err(Error::InvalidParam {
+            what: "posted workload",
+            detail: "a 'plan-store' directive is not accepted over HTTP; \
+                     the daemon's store is set by `skp-serve --plan-store`"
+                .to_string(),
+        });
+    }
     let mut engine = file.build_engine_with_store(Some(Arc::clone(store)))?;
+    reject_chaining(&engine)?;
     let workload: Workload = file.workload()?;
     let report = engine.run(&workload)?;
     Ok(report_json(
@@ -730,6 +724,21 @@ fn run_workload_file(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, E
         &report,
         &file.labels,
     ))
+}
+
+/// The one no-chaining rule for both body formats: a posted run may not
+/// name a `served:` backend, which would have the daemon post to a
+/// daemon (itself, possibly).
+fn reject_chaining(engine: &Engine) -> Result<(), Error> {
+    if engine.backend_name() == "served" {
+        return Err(Error::InvalidParam {
+            what: "posted run",
+            detail: "the daemon does not chain to other daemons; \
+                     post the inner backend spec directly"
+                .to_string(),
+        });
+    }
+    Ok(())
 }
 
 fn report_json(
@@ -793,7 +802,7 @@ mod tests {
         assert!(j.contains("\"generators\":["));
         assert!(j.contains("skp-exact"));
         assert!(j.contains("\"served\""));
-        assert!(j.contains("\"tiered\""));
+        assert!(j.contains("\"file\""));
         assert!(j.contains("\"sampled\""));
         // It is valid JSON by the wire module's own parser.
         speculative_prefetch::wire::Json::parse(&j).expect("registry JSON parses");
@@ -809,28 +818,17 @@ mod tests {
             queue_depth: 3,
             routes: vec![("/run", 4), ("/stats", 1), ("other", 0)],
             latencies_ms: vec![250.0, 500.0, 750.0],
-            store_spec: "tiered:hot:4,memory:1x8".to_string(),
+            store_spec: "memory:1x8".to_string(),
             store: PlanStoreStats {
                 lookups: 4,
                 hits: 3,
-                tiers: vec![
-                    speculative_prefetch::TierStats {
-                        tier: "hot:4".to_string(),
-                        hits: 2,
-                        misses: 2,
-                        evictions: 0,
-                        promotions: 1,
-                        entries: 2,
-                    },
-                    speculative_prefetch::TierStats {
-                        tier: "memory:1x8".to_string(),
-                        hits: 1,
-                        misses: 1,
-                        evictions: 0,
-                        promotions: 0,
-                        entries: 1,
-                    },
-                ],
+                tiers: vec![speculative_prefetch::TierStats {
+                    tier: "memory:1x8".to_string(),
+                    hits: 3,
+                    misses: 1,
+                    evictions: 0,
+                    entries: 2,
+                }],
             },
         }
     }
@@ -873,8 +871,8 @@ skp_worker_queue_depth 3\n";
         assert!(text.contains("skp_run_latency_seconds_sum 1.5\n"));
         assert!(text.contains("skp_run_latency_seconds_count 3\n"));
         // Per-tier families carry the tier label.
-        assert!(text.contains("skp_plan_store_tier_hits_total{tier=\"hot:4\"} 2\n"));
-        assert!(text.contains("skp_plan_store_tier_entries{tier=\"memory:1x8\"} 1\n"));
+        assert!(text.contains("skp_plan_store_tier_hits_total{tier=\"memory:1x8\"} 3\n"));
+        assert!(text.contains("skp_plan_store_tier_entries{tier=\"memory:1x8\"} 2\n"));
     }
 
     #[test]
@@ -934,6 +932,45 @@ skp_worker_queue_depth 3\n";
         assert!(err.contains("chain"), "{err}");
     }
 
+    /// A small population file without its `backend` line.
+    const POPULATION: &str = "workload sharded\nrequests 2\nchain 3 1 2 2 8 11\nv 5\n\
+                              item 0.3 3 a\nitem 0.3 5 b\nitem 0.4 7 c\n";
+
+    #[test]
+    fn run_rejects_daemon_chaining_in_a_skp_body() {
+        let body = format!("{POPULATION}backend served:127.0.0.1:7077:sharded\n");
+        let resp = handle_run(&body, &test_store());
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"kind\":\"invalid-param\"")
+                && resp.body.contains("does not chain"),
+            "{}",
+            resp.body
+        );
+    }
+
+    /// The daemon's store is the operator's choice: a posted
+    /// `plan-store` directive is refused before anything is built, so
+    /// a `file:` spec makes no directory and writes no plan.
+    #[test]
+    fn run_rejects_a_plan_store_directive() {
+        let dir = std::env::temp_dir().join(format!("skp-serve-posted-{}", std::process::id()));
+        let sharded = format!("{POPULATION}backend sharded:1x2:hash\n");
+        for spec in [format!("file:{}", dir.display()), "memory:2x4".to_string()] {
+            let resp = handle_run(&format!("{sharded}plan-store {spec}\n"), &test_store());
+            assert_eq!(resp.status, 400, "{spec}: {}", resp.body);
+            assert!(
+                resp.body.contains("\"kind\":\"invalid-param\"")
+                    && resp.body.contains("skp-serve --plan-store"),
+                "{spec}: {}",
+                resp.body
+            );
+        }
+        assert!(!dir.exists(), "the daemon wrote where the client asked");
+        // Without the directive the same file runs on the daemon's store.
+        assert_eq!(handle_run(&sharded, &test_store()).status, 200);
+    }
+
     #[test]
     fn empty_and_invalid_bodies_map_to_400() {
         let store = test_store();
@@ -951,24 +988,19 @@ skp_worker_queue_depth 3\n";
     }
 
     /// A posted file must not size an allocation that aborts the
-    /// daemon: stripe counts and n-gram orders are bounded at parse.
+    /// daemon: n-gram orders are bounded at parse (stripe counts too,
+    /// but a posted file cannot name a plan store at all).
     #[test]
     fn oversized_allocation_specs_map_to_400() {
-        let store = test_store();
-        for directive in [
-            "plan-store memory:1000000000000x1",
-            "predictor ngram:1000000000000",
-        ] {
-            let body = format!("v 5\nitem 0.5 2\nitem 0.5 3\nworkload trace\n{directive}\n");
-            let resp = handle_run(&body, &store);
-            assert_eq!(resp.status, 400, "{directive}: {}", resp.body);
-            assert!(
-                resp.body.contains("\"kind\":\"invalid-param\"")
-                    && resp.body.contains("must be at most"),
-                "{directive}: {}",
-                resp.body
-            );
-        }
+        let body = "v 5\nitem 0.5 2\nitem 0.5 3\nworkload trace\npredictor ngram:1000000000000\n";
+        let resp = handle_run(body, &test_store());
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"kind\":\"invalid-param\"")
+                && resp.body.contains("must be at most"),
+            "{}",
+            resp.body
+        );
     }
 
     #[test]

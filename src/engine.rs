@@ -204,7 +204,7 @@ impl SessionBuilder {
     }
 
     /// Selects the plan store by registry spec string (e.g.
-    /// `"memory:8x4096"`, `"tiered:hot:256,memory:8x4096,file:.skp-plans"`;
+    /// `"memory:8x4096"`, `"file:.skp-plans"`;
     /// see [`plan_store_specs`](crate::plan_store_specs)). Without
     /// this, the engine keeps a small private in-memory store, so
     /// repeat runs of the same population on one engine still re-use
@@ -1025,7 +1025,7 @@ impl Engine {
         timer.start("stat-fold");
         // Write back only when the run added information: a hit whose
         // rounds solved nothing new would rewrite identical bytes into
-        // every tier (the `file:` tier in particular) for no gain.
+        // the store (a `file:` store in particular) for no gain.
         if let (Some(k), Some(spec)) = (key, spec) {
             if planner.newly_solved > 0 || !store_hit {
                 self.store.put(
@@ -1075,7 +1075,7 @@ struct StatePlanMemo<F> {
     /// Debug-build cross-check: states whose plans came from the store
     /// get one fresh solve on first use, asserting the stored plan
     /// still matches the live policy. Keeps the memoisation honest for
-    /// every store tier; empty in release builds.
+    /// every store; empty in release builds.
     unverified: Vec<bool>,
 }
 
@@ -1165,6 +1165,7 @@ mod tests {
     use crate::registry::backend_specs;
     use distsys::scheduler::Placement;
     use montecarlo::probgen::ProbMethod;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     fn scenario() -> Scenario {
         Scenario::new(
@@ -1263,21 +1264,68 @@ mod tests {
         assert_eq!(engine.plan_store_spec_string(), "memory:2x16");
     }
 
+    /// Counts the store traffic a run makes, passing it through.
+    struct CountingStore {
+        inner: MemoryStore,
+        gets: AtomicU64,
+        puts: AtomicU64,
+    }
+
+    impl CountingStore {
+        /// `(gets, puts)` since the last call.
+        fn take(&self) -> (u64, u64) {
+            (self.gets.swap(0, Relaxed), self.puts.swap(0, Relaxed))
+        }
+    }
+
+    impl PlanStore for CountingStore {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn spec_string(&self) -> String {
+            "counting".to_string()
+        }
+
+        fn get(&self, key: u64) -> Option<Arc<PlanSet>> {
+            self.gets.fetch_add(1, Relaxed);
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: u64, value: Arc<PlanSet>) {
+            self.puts.fetch_add(1, Relaxed);
+            self.inner.put(key, value)
+        }
+
+        fn stats(&self) -> PlanStoreStats {
+            self.inner.stats()
+        }
+    }
+
     #[test]
     fn repeat_population_runs_hit_the_plan_store() {
         let chain = MarkovChain::random(10, 2, 4, 5, 20, 5).unwrap();
+        let store = Arc::new(CountingStore {
+            inner: MemoryStore::new(2, 16),
+            gets: AtomicU64::new(0),
+            puts: AtomicU64::new(0),
+        });
         let mut engine = Engine::builder()
             .backend(Backend::MultiClient { clients: 3 })
             .catalog((0..10).map(|i| 2.0 + i as f64).collect())
-            .plan_store("memory:2x16")
+            .plan_store_instance(store.clone())
             .build()
             .unwrap();
         let workload = Workload::multi_client(chain, 20, 1).traced(true);
         let cold = engine.run(&workload).unwrap();
         assert_eq!(cold.plan_store.hits, 0);
         assert_eq!(cold.plan_store.lookups, 1);
+        // A cold run looks its plan set up once and writes it back once.
+        assert_eq!(store.take(), (1, 1));
         let warm = engine.run(&workload).unwrap();
         assert_eq!(warm.plan_store.hits, 1);
+        // A warm run that solved nothing new writes nothing back.
+        assert_eq!(store.take(), (1, 0));
         // The determinism contract extends to the store: the warm
         // report and event log are bit-identical (PartialEq ignores
         // the counters; the sections and events are compared fully).

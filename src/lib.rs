@@ -25,9 +25,9 @@
 //! plus a fifth, orthogonal seam: a **plan store** ([`PlanStore`];
 //! [`build_plan_store`]) that caches solved population plan sets
 //! across runs, engines and — via `skp-serve` — across clients.
-//! `SessionBuilder::plan_store("tiered:hot:64,file:/var/cache/skp")`
-//! selects a tier chain by spec string; warm runs are bit-identical to
-//! cold ones, just faster.
+//! `SessionBuilder::plan_store("file:/var/cache/skp")` selects a store
+//! by spec string; warm runs are bit-identical to cold ones, just
+//! faster.
 //!
 //! A sixth seam is **observability** ([`Obs`]; [`build_obs`]):
 //! `SessionBuilder::obs("memory")` (or `"sampled:64"`) attaches a

@@ -6,7 +6,7 @@
 //! values — name, aliases, parameter syntax, summary, constructor —
 //! looked up by one `find` once one tokenizer has cut the spec
 //! (`"skp-exact"`, `"network-aware:0.4"`, `"sharded:4x16:hash"`,
-//! `"tiered:hot:256,memory:8x1024"`) at its first `:`. The CLI's
+//! `"file:/var/cache/skp"`) at its first `:`. The CLI's
 //! `--solver` and `--list`, workload files, the
 //! [`SessionBuilder`](crate::engine::SessionBuilder), `skp-serve`'s
 //! `GET /registry` and experiment sweeps all read these tables, so
@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use obs::{MemorySink, Obs};
-use planstore::{FileStore, HotStore, MemoryStore, NoneStore, PlanStore, TieredStore};
+use planstore::{FileStore, MemoryStore, NoneStore, PlanStore};
 use skp_core::ext::{NetworkAwarePolicy, StretchPenalisedPolicy, TwoStepPolicy};
 use skp_core::policy::{PolicyKind, Prefetcher};
 use skp_core::skp::solve_global;
@@ -264,7 +264,7 @@ fn build_two_step(param: Option<f64>) -> Result<Box<dyn Prefetcher>, Error> {
 // Plan stores and obs sinks.
 // ---------------------------------------------------------------------
 
-/// Default per-thread capacity of a bare `hot` spec.
+/// Default capacity of a bare `hot` spec (one stripe).
 const HOT_DEFAULT_CAP: usize = 256;
 /// Default topology of a bare `memory` spec.
 const MEMORY_DEFAULT_SHARDS: usize = 8;
@@ -285,6 +285,8 @@ fn build_none_store(param: Option<&str>) -> Result<Arc<dyn PlanStore>, Error> {
     }
 }
 
+/// `hot[:cap]` is a one-stripe `memory` store, so it canonicalises to
+/// `memory:1x<cap>` (as `sampled:1` canonicalises to `memory`).
 fn build_hot(param: Option<&str>) -> Result<Arc<dyn PlanStore>, Error> {
     const WHAT: &str = "hot plan-store spec";
     let cap = match param {
@@ -296,7 +298,7 @@ fn build_hot(param: Option<&str>) -> Result<Arc<dyn PlanStore>, Error> {
             cap
         }
     };
-    Ok(Arc::new(HotStore::new(cap)))
+    Ok(Arc::new(MemoryStore::new(1, cap)))
 }
 
 fn build_memory_store(param: Option<&str>) -> Result<Arc<dyn PlanStore>, Error> {
@@ -334,35 +336,6 @@ fn build_file(param: Option<&str>) -> Result<Arc<dyn PlanStore>, Error> {
         )),
         Some(dir) => Ok(Arc::new(FileStore::new(dir))),
     }
-}
-
-fn build_tiered(param: Option<&str>) -> Result<Arc<dyn PlanStore>, Error> {
-    const WHAT: &str = "tiered plan-store spec";
-    let raw = match param.map(str::trim) {
-        None | Some("") => {
-            return Err(param_err(
-                WHAT,
-                "needs a comma-separated tier chain, e.g. 'tiered:hot:256,memory:8x1024'"
-                    .to_string(),
-            ))
-        }
-        Some(raw) => raw,
-    };
-    let mut tiers = Vec::new();
-    for spec in raw.split(',') {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Err(param_err(WHAT, format!("empty tier in the chain '{raw}'")));
-        }
-        if split_spec(spec).0 == "tiered" {
-            return Err(param_err(
-                WHAT,
-                "tiers cannot nest: flatten the chain instead".to_string(),
-            ));
-        }
-        tiers.push(build_plan_store(spec)?);
-    }
-    Ok(Arc::new(TieredStore::new(tiers)))
 }
 
 fn build_none_sink(param: Option<&str>) -> Result<Obs, Error> {
@@ -581,7 +554,7 @@ static PLAN_STORES: &[Entry<PlanStoreFn>] = &[
         name: "hot",
         aliases: &[],
         params: ":cap",
-        summary: "per-thread unsynchronized LRU (default cap 256); no locks on the hot path",
+        summary: "shorthand for memory:1x<cap>, a one-stripe LRU (default cap 256)",
         build: build_hot,
     },
     Entry {
@@ -597,13 +570,6 @@ static PLAN_STORES: &[Entry<PlanStoreFn>] = &[
         params: ":dir",
         summary: "persistent one-file-per-key store; plans survive restarts bit-exactly",
         build: build_file,
-    },
-    Entry {
-        name: "tiered",
-        aliases: &[],
-        params: ":spec,spec,..",
-        summary: "read-through/write-back chain with promotion on hit (hottest first)",
-        build: build_tiered,
     },
 ];
 
@@ -763,8 +729,9 @@ pub fn build_backend(spec: &str) -> Result<Arc<dyn BackendDriver>, Error> {
     })
 }
 
-/// Builds a plan store from a spec string, e.g. `"hot:256"`,
-/// `"memory:8x1024"`, `"tiered:hot:8,memory:2x64"`.
+/// Builds a plan store from a spec string, e.g. `"memory:8x1024"`,
+/// `"file:.skp-plans"`, or `"hot:256"` (shorthand for
+/// `"memory:1x256"`, which is the canonical spec it reports).
 pub fn build_plan_store(spec: &str) -> Result<Arc<dyn PlanStore>, Error> {
     build(PLAN_STORES, spec, |name| {
         unknown("plan store spec", "plan store", name, PLAN_STORES)
@@ -907,12 +874,12 @@ mod tests {
     fn builtin_specs_build_and_round_trip() {
         for (spec, canonical) in [
             ("none", "none"),
-            ("hot", "hot:256"),
-            ("hot:32", "hot:32"),
+            // `hot` is shorthand for a one-stripe memory store
+            ("hot", "memory:1x256"),
+            ("hot:4", "memory:1x4"),
             ("memory", "memory:8x1024"),
             ("memory:2x64", "memory:2x64"),
             ("file:/tmp/skp-plans", "file:/tmp/skp-plans"),
-            ("tiered:hot:8,memory:2x64", "tiered:hot:8,memory:2x64"),
         ] {
             let store = build_plan_store(spec).expect(spec);
             assert_eq!(store.spec_string(), canonical, "spec {spec}");
@@ -944,9 +911,7 @@ mod tests {
     fn unknown_store_lists_the_known_names() {
         let msg = store_err("quantum:9");
         assert!(msg.contains("unknown plan store 'quantum'"), "{msg}");
-        for name in ["none", "hot", "memory", "file", "tiered"] {
-            assert!(msg.contains(name), "{msg} missing {name}");
-        }
+        assert!(msg.contains("(known: none, hot, memory, file)"), "{msg}");
     }
 
     #[test]
@@ -999,25 +964,24 @@ mod tests {
     }
 
     #[test]
-    fn file_and_tiered_require_parameters() {
+    fn file_requires_a_directory() {
         assert!(store_err("file").contains("needs a directory"));
         assert!(store_err("file:").contains("needs a directory"));
-        assert!(store_err("tiered").contains("needs a comma-separated tier chain"));
-        assert!(store_err("tiered:").contains("needs a comma-separated tier chain"));
     }
 
+    /// There is no composite store: `tiered` is an unknown name.
     #[test]
-    fn tiered_chains_reject_bad_links() {
-        assert!(store_err("tiered:hot:8,,memory:2x4").contains("empty tier"));
-        assert!(store_err("tiered:hot:8,tiered:memory:2x4").contains("cannot nest"));
-        // Errors inside a link surface with the link's own shape.
-        assert!(store_err("tiered:hot:0").contains("cap must be at least 1"));
-        assert!(store_err("tiered:warp").contains("unknown plan store 'warp'"));
+    fn tiered_specs_are_unknown_stores() {
+        for spec in ["tiered", "tiered:hot:8,memory:2x4"] {
+            let msg = store_err(spec);
+            assert!(msg.contains("unknown plan store 'tiered'"), "{msg}");
+            assert!(msg.contains("(known: none, hot, memory, file)"), "{msg}");
+        }
     }
 
     #[test]
     fn every_error_points_at_the_listing() {
-        for spec in ["hot:0", "memory:3", "none:x", "file", "tiered:"] {
+        for spec in ["hot:0", "memory:3", "none:x", "file", "hot:1:x"] {
             assert!(
                 store_err(spec).contains("see `skp-plan --list`"),
                 "{spec} error lacks the listing pointer"
@@ -1073,8 +1037,9 @@ mod tests {
         );
         let msg = store_err("memory:1000000000000x1");
         assert!(msg.contains("shards must be at most 4096"), "{msg}");
-        let msg = store_err("tiered:hot:8,memory:1000000000000x1");
-        assert!(msg.contains("shards must be at most 4096"), "{msg}");
+        // An `InvalidParam`, which `skp-serve` answers with a 400.
+        let err = build_plan_store("memory:1000000000000x1");
+        assert!(matches!(err, Err(Error::InvalidParam { .. })));
 
         assert!(build_predictor("ngram:64", 8).is_ok());
         for spec in ["ngram:65", "ngram:1000000000000"] {
@@ -1141,8 +1106,6 @@ mod tests {
                 format!("{name}:out={n}@{x}+{y};slow={m}x{y};svc={x}"),
                 format!("served:h:{n}:{name}:{n}x{m}:{tail}"),
                 format!("served:h:1:served:{tail}"),
-                format!("tiered:{name}:{n},{name}:{n}x{m}"),
-                format!("tiered:{tail},{name}:{tail}"),
             ];
             for spec in &specs {
                 build_all(spec);

@@ -1053,6 +1053,6 @@ item 0.2 9 video
         let mut open = pinned.clone();
         open.plan_store = None;
         let engine = open.build_engine_with_store(Some(shared)).unwrap();
-        assert_eq!(engine.plan_store_spec_string(), "hot:4");
+        assert_eq!(engine.plan_store_spec_string(), "memory:1x4");
     }
 }

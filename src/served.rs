@@ -277,7 +277,7 @@ pub fn http_request(
         })?;
 
     let mut retry_after = None;
-    let mut content_length: Option<usize> = None;
+    let mut content_length: Option<u64> = None;
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
@@ -306,8 +306,16 @@ pub fn http_request(
 
     let body = match content_length {
         Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
+            // The header is the peer's claim, not a size to allocate:
+            // the buffer grows only as bytes arrive.
+            let mut buf = Vec::new();
+            reader.by_ref().take(n).read_to_end(&mut buf)?;
+            if (buf.len() as u64) < n {
+                return Err(malformed(format!(
+                    "daemon sent {} of {n} announced body bytes",
+                    buf.len()
+                )));
+            }
             String::from_utf8(buf).map_err(|_| malformed("daemon response is not UTF-8".into()))?
         }
         None => {
@@ -511,6 +519,18 @@ mod tests {
         let err = http_request(&addr, "GET", "/", None).unwrap_err();
         assert!(err.to_string().contains("Retry-After"), "{err}");
         assert!(err.to_string().contains("soonish"), "{err}");
+    }
+
+    #[test]
+    fn huge_content_length_is_a_malformed_response() {
+        // Announces 2^64 - 1 bytes, sends 2: nothing is sized from the
+        // header, and the short body is reported, not waited for.
+        let addr =
+            serve_canned("HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nok");
+        let err = http_request(&addr, "GET", "/", None).unwrap_err();
+        assert!(matches!(err, Error::InvalidParam { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("2 of 18446744073709551615"), "{msg}");
     }
 
     #[test]

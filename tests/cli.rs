@@ -102,7 +102,7 @@ fn list_enumerates_policies_predictors_backends_and_plan_stores() {
     }
     assert!(stdout.contains("hash|range|hot-cold"));
     assert!(stdout.contains("registered plan stores"), "{stdout}");
-    for store in ["none", "hot", "memory", "file", "tiered"] {
+    for store in ["none", "hot", "memory", "file"] {
         assert!(
             stdout.contains(store),
             "missing plan store {store}:\n{stdout}"
@@ -177,10 +177,10 @@ fn list_backends_match_the_registry_exactly() {
 }
 
 /// Same consistency for the plan-store seam: `--list` enumerates
-/// exactly `plan_store_specs()`. Bare `file` and `tiered` names do not
-/// build (they need a directory / a chain), so the build →
-/// `spec_string()` → build fixed point is checked on one concrete spec
-/// per tier.
+/// exactly `plan_store_specs()`. A bare `file` name does not build (it
+/// needs a directory), so the build → `spec_string()` → build fixed
+/// point is checked on one concrete spec per entry. `hot` is shorthand
+/// for a one-stripe memory store and reports itself as one.
 #[test]
 fn list_plan_stores_match_the_registry_exactly() {
     let (stdout, _, ok) = run_cli(&["--list"]);
@@ -200,25 +200,21 @@ fn list_plan_stores_match_the_registry_exactly() {
 
     let dir = std::env::temp_dir().join(format!("skp-cli-store-{}", std::process::id()));
     let examples = [
-        "none".to_string(),
-        "hot:32".to_string(),
-        "memory:2x64".to_string(),
-        format!("file:{}", dir.display()),
-        "tiered:hot:4,memory:1x16".to_string(),
+        ("none".to_string(), "none"),
+        ("hot:32".to_string(), "memory"),
+        ("memory:2x64".to_string(), "memory"),
+        (format!("file:{}", dir.display()), "file"),
     ];
-    assert_eq!(examples.len(), registry.len(), "cover every tier");
-    for (spec, entry) in examples
-        .iter()
-        .zip(speculative_prefetch::plan_store_specs())
-    {
+    assert_eq!(examples.len(), registry.len(), "cover every entry");
+    for (spec, kind) in &examples {
         let store =
             speculative_prefetch::build_plan_store(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-        assert_eq!(store.name(), entry.name);
+        assert_eq!(store.name(), *kind);
         // Canonical spec string → store: a fixed point.
         let canonical = store.spec_string();
         let again = speculative_prefetch::build_plan_store(&canonical)
             .unwrap_or_else(|e| panic!("{canonical}: {e}"));
-        assert_eq!(again.name(), entry.name);
+        assert_eq!(again.name(), *kind);
         assert_eq!(again.spec_string(), canonical);
     }
     let _ = std::fs::remove_dir_all(&dir);

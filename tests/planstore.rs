@@ -1,10 +1,10 @@
 //! Acceptance tests for the plan-store subsystem: a warm run (plans
-//! served from any store tier) is **bit-identical** to the cold run
+//! served from any store) is **bit-identical** to the cold run
 //! that populated it — same common stats, same section, same
-//! mechanistic event log — pinned by goldens per tier and a property
+//! mechanistic event log — pinned by goldens per store and a property
 //! test over random chains, policies, seeds and store specs. Running
 //! under `cfg(debug_assertions)` keeps the PR-4 cross-check alive for
-//! every tier: each store-seeded plan is re-solved fresh and compared
+//! every store: each store-seeded plan is re-solved fresh and compared
 //! on first use.
 
 use std::sync::Arc;
@@ -38,13 +38,21 @@ fn run_with(store: &Arc<dyn PlanStore>, policy: &str, chain: &MarkovChain, seed:
         .expect("runs")
 }
 
-/// Golden equivalence: for every built-in tier shape, the warm run out
-/// of a store populated by a cold run reports the identical
-/// `RunReport` — and the warm run actually hit the store.
+/// A `file:` spec over a scratch directory unique to this process and
+/// `tag`; the caller removes the directory.
+fn scratch_file_spec(tag: &str) -> (String, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("skp-planstore-{tag}-{}", std::process::id()));
+    (format!("file:{}", dir.display()), dir)
+}
+
+/// Golden equivalence: for every built-in store, the warm run out of a
+/// store populated by a cold run reports the identical `RunReport` —
+/// and the warm run actually hit the store.
 #[test]
 fn warm_runs_are_bit_identical_to_cold_runs_on_every_tier() {
     let chain = chain(77);
-    for spec in ["hot:4", "memory:2x32", "tiered:hot:4,memory:2x32"] {
+    let (file, dir) = scratch_file_spec("golden");
+    for spec in ["hot:4", "memory:2x32", file.as_str()] {
         let store = build_plan_store(spec).expect("valid spec");
         let cold = run_with(&store, "skp-exact", &chain, 1999);
         let warm = run_with(&store, "skp-exact", &chain, 1999);
@@ -57,6 +65,7 @@ fn warm_runs_are_bit_identical_to_cold_runs_on_every_tier() {
             warm.plan_store
         );
     }
+    std::fs::remove_dir_all(&dir).expect("scratch dir removable");
 }
 
 /// The `none` store opts out of reuse without changing results.
@@ -137,8 +146,11 @@ proptest! {
         let chain = MarkovChain::random(states, min_fanout, max_fanout, 2, 9, chain_seed)
             .expect("valid chain");
         let policy = ["skp-exact", "no-prefetch", "greedy"][policy_pick];
-        let spec = ["hot:8", "memory:2x16", "tiered:hot:2,memory:1x16"][store_pick];
+        let (file, dir) = scratch_file_spec("prop");
+        let spec = ["hot:8", "memory:2x16", file.as_str()][store_pick];
         let retrievals: Vec<f64> = (0..states).map(|i| 1.0 + (i % 6) as f64).collect();
+        // Every case starts cold, the `file:` store included.
+        let _ = std::fs::remove_dir_all(&dir);
         let store = build_plan_store(spec).expect("valid spec");
         let workload = Workload::sharded(chain, requests, run_seed).traced(true);
 
@@ -155,6 +167,7 @@ proptest! {
         };
         let cold = run(&store);
         let warm = run(&store);
+        let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(cold, warm);
     }
 }
